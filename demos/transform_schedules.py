@@ -69,8 +69,8 @@ v = np.arange(64.0)
 print("D(D(x)) == x:", np.array_equal(digit_transpose(digit_transpose(v)), v))
 
 # --------------------------------------------------------------------
-# 5. The row kernel underneath is an ordinary radix-2 FFT; the batch
-#    axis lets one call transform all k rows of the matrix.
+# 5. The row kernel underneath is numpy's FFT along the last axis; the
+#    batch axis lets one call transform all k rows of the matrix.
 
 rows = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
 batched = fft_small(rows)

@@ -44,7 +44,6 @@ from .fft import (
     real_unpack_spectra,
     rotation_grid,
     supported_lengths,
-    twiddle_factors,
 )
 from .oracle import (
     ToeplitzView,
@@ -101,7 +100,6 @@ __all__ = [
     "supported_lengths",
     "is_supported_length",
     "matrix_side",
-    "twiddle_factors",
     "rotation_grid",
     "fft_small",
     "fft2d_natural",

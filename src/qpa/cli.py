@@ -132,6 +132,8 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise ParameterError("--samples must be at least 1, got %d" % args.samples)
     x = read_bits(args.input, expected_role=ROLE_RAW)
     n = x.length
     seed = _load_seed(args, n)
@@ -205,6 +207,10 @@ def _time_mode(x, seed, r, mode, tile, repetitions):
 
 
 def cmd_bench(args):
+    if args.repetitions < 1:
+        raise ParameterError(
+            "--repetitions must be at least 1, got %d" % args.repetitions
+        )
     n = args.n
     k = matrix_side(n)
     report = bench_transpose(k, tile=args.tile, repetitions=args.repetitions)

@@ -1,8 +1,11 @@
-"""Radix-2 FFT core and the two k x k long-transform schedules.
+"""The two k x k long-transform schedules over batched row transforms.
 
 A transform of n = k*k points (k a power of two, 8 <= k <= 1024) runs as
 two passes of length-k row transforms over a k x k matrix with a
-rotation-factor multiply in between.  Two schedules are provided:
+rotation-factor multiply in between (the four-step FFT).  The row
+transforms of a pass are one batched call into numpy's FFT along the
+last axis (`fft_small`); the schedule around them is what this module
+implements.  Two schedules are provided:
 
 natural
     transpose, row FFTs, rotation factors, transpose, row FFTs,
@@ -39,7 +42,6 @@ __all__ = [
     "supported_lengths",
     "is_supported_length",
     "matrix_side",
-    "twiddle_factors",
     "rotation_grid",
     "fft_small",
     "fft2d_natural",
@@ -85,19 +87,6 @@ def _direction_is_inverse(direction):
 
 
 @functools.lru_cache(maxsize=None)
-def twiddle_factors(m, inverse=False):
-    """Rotation table w**p for p in [0, m): w = exp(-+ 2*pi*i / m).
-
-    Cached and read-only.  Entries sit on the unit circle; the table is
-    periodic, so exponents reduce mod m (w**m == w**0 == 1).
-    """
-    sign = 2j if inverse else -2j
-    w = np.exp(sign * np.pi * np.arange(m) / m)
-    w.flags.writeable = False
-    return w
-
-
-@functools.lru_cache(maxsize=None)
 def rotation_grid(n, inverse=False):
     """k x k grid of inter-pass rotation factors w_n**(i*j), cached."""
     k = matrix_side(n)
@@ -108,19 +97,8 @@ def rotation_grid(n, inverse=False):
     return g
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_reversal(m):
-    a = np.arange(m, dtype=np.intp)
-    rev = np.zeros(m, dtype=np.intp)
-    for _ in range(m.bit_length() - 1):
-        rev = (rev << 1) | (a & 1)
-        a >>= 1
-    rev.flags.writeable = False
-    return rev
-
-
 def fft_small(buf, direction="forward"):
-    """Radix-2 transform along the last axis.
+    """Batched length-m transforms along the last axis (numpy's FFT).
 
     Parameters
     ----------
@@ -143,19 +121,10 @@ def fft_small(buf, direction="forward"):
         raise ParameterError(
             "transform length %r not supported (power of two in [8, 4096])" % (m,)
         )
-    # the bit-reversal gather is also the working copy (never aliases buf)
-    a = np.take(a, _bit_reversal(m), axis=-1)
-    w = twiddle_factors(m, inverse)[: m // 2]
-    half = 1
-    while half < m:
-        step = half << 1
-        tw = w[:: m // step][:half]
-        s = a.reshape(a.shape[:-1] + (m // step, step))
-        t = s[..., half:] * tw
-        s[..., half:] = s[..., :half] - t
-        s[..., :half] += t
-        half = step
-    return a
+    # numpy returns a fresh array; norm="forward" leaves the inverse unscaled
+    if inverse:
+        return np.fft.ifft(a, axis=-1, norm="forward")
+    return np.fft.fft(a, axis=-1)
 
 
 def _as_matrix(x):
@@ -164,8 +133,8 @@ def _as_matrix(x):
         raise ParameterError("expected a 1-D buffer, got shape %r" % (x.shape,))
     k = matrix_side(x.shape[0])
     if x.dtype == np.complex128:
-        # safe as a view: every schedule copies (transpose or bit-reversal
-        # gather) before its first in-place write
+        # safe as a view: every schedule copies (transpose or row
+        # transform) before its first in-place write
         return x.reshape(k, k)
     return x.astype(np.complex128).reshape(k, k)
 
@@ -222,11 +191,17 @@ def digit_transpose_indices(n):
 
 
 def digit_transpose(v):
-    """Apply the digit-transpose gather to a 1-D buffer."""
+    """Apply the digit-transpose gather to a 1-D buffer, as a copy.
+
+    Same result as gathering by `digit_transpose_indices`, done as a
+    k x k matrix transpose.  This is the load/store address translation
+    around the permuted schedule, not one of its counted transposes.
+    """
     v = np.asarray(v)
     if v.ndim != 1:
         raise ParameterError("expected a 1-D buffer, got shape %r" % (v.shape,))
-    return v[digit_transpose_indices(v.shape[0])]
+    k = matrix_side(v.shape[0])
+    return v.reshape(k, k).T.reshape(-1)
 
 
 def real_pack(x, v):

@@ -39,16 +39,15 @@ import numpy as np
 from .core import BitVector, ToeplitzSeed
 from .errors import ParameterError, PrecisionError
 from .fft import (
+    digit_transpose,
     digit_transpose_indices,
     fft2d_natural,
     fft2d_permuted,
     is_supported_length,
-    matrix_side,
     pointwise_multiply,
     real_pack,
     real_unpack_spectra,
 )
-from .transpose import transpose_blocked
 
 __all__ = [
     "RESIDUAL_LIMIT",
@@ -174,7 +173,7 @@ def run_mode_b_schedule(operands, raw=False, stats=None, tile=None):
     if not is_supported_length(n):
         raise ParameterError("n=%r is not a supported transform length" % (n,))
     with _stage(stats, "pack"):
-        z = _digit_reorder(real_pack(operands.x_masked, operands.v_circ))
+        z = digit_transpose(real_pack(operands.x_masked, operands.v_circ))
     with _stage(stats, "forward"):
         z_hat = fft2d_permuted(z, "forward", stats=stats, tile=tile)
     with _stage(stats, "unpack"):
@@ -187,19 +186,7 @@ def run_mode_b_schedule(operands, raw=False, stats=None, tile=None):
     if raw:
         return conv
     with _stage(stats, "readback"):
-        return _digit_reorder(conv)
-
-
-def _digit_reorder(vec):
-    """Apply the digit-transpose index map to a length-n buffer.
-
-    Same result as gathering by `digit_transpose_indices`; runs as a
-    tiled k x k copy because the map is exactly a matrix transpose.
-    This is the load/store address translation around the permuted
-    schedule, not one of the transform's counted transposes.
-    """
-    k = matrix_side(vec.shape[0])
-    return transpose_blocked(vec.reshape(k, k)).reshape(-1)
+        return digit_transpose(conv)
 
 
 _partner_cache = {}
@@ -294,7 +281,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
         parity = (rounded.astype(np.int64) & 1).astype(np.uint8)
         if permuted_layout:
             # store-side address translation back to natural order
-            parity = _digit_reorder(parity)
+            parity = digit_transpose(parity)
         bits = x.bit_range(0, r) ^ parity[:r]
     return FinalKey(bits=BitVector.from_bits(bits), mode=mode, residual=residual)
 

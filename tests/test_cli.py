@@ -262,6 +262,22 @@ def test_verify_sampled_mode_catches_gross_tampering(raw_file, tmp_path, capsys)
     assert "mismatch at bit" in capsys.readouterr().out
 
 
+def test_verify_rejects_non_positive_samples(raw_file, tmp_path, capsys):
+    raw_path, _ = raw_file
+    final_path = _distill(tmp_path, raw_path)
+    final = read_bits(final_path)
+    inverted = final ^ BitVector.from_bits(np.ones(final.length, dtype=np.uint8))
+    write_bits(inverted, final_path, ROLE_FINAL)
+    base = ["verify", "--input", str(raw_path), "--final", str(final_path),
+            "--master-secret", SECRET, "--full-compare-limit", "64"]
+    for samples in ("0", "-1"):
+        # a wrong key must never pass on zero checked rows
+        assert cli.main(base + ["--samples", samples]) == 3
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "verify ok" not in captured.out
+
+
 def test_verify_rejects_oversized_final(raw_file, tmp_path):
     raw_path, x = raw_file
     final_path = tmp_path / "final.qpa1"
@@ -315,6 +331,14 @@ def test_bench_smoke(tmp_path, capsys):
     assert "mode_A_seconds=" in body
     assert "mode_B_transposes=2" in body
     assert "naive_row_spans=72" in body  # 8 + 8*8
+
+
+def test_bench_rejects_non_positive_repetitions(capsys):
+    for repetitions in ("0", "-2"):
+        assert cli.main(["bench", "--n", "64", "--repetitions", repetitions]) == 3
+        captured = capsys.readouterr()
+        assert "--repetitions" in captured.err
+        assert "transpose bench" not in captured.out
 
 
 def test_help_exits_cleanly():

@@ -1,4 +1,4 @@
-"""Radix-2 kernel, 2D long-transform schedules, real packing."""
+"""Row-transform kernel, 2D long-transform schedules, real packing."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from qpa.fft import (
     real_unpack_spectra,
     rotation_grid,
     supported_lengths,
-    twiddle_factors,
 )
 from qpa.oracle import cyclic_convolve_naive
 from qpa.transpose import TransposeStats
@@ -57,36 +56,10 @@ def test_supported_lengths():
 # tables
 
 
-def test_twiddle_factors_on_unit_circle():
-    for m in (8, 64, 512):
-        w = twiddle_factors(m)
-        assert w.shape == (m,)
-        assert np.abs(np.abs(w) - 1.0).max() < 4 * np.finfo(np.float64).eps
-        assert w[0] == 1.0 + 0.0j
-        # the generator has exact order m
-        assert abs(w[1] ** m - 1.0) < 1e-12
-        assert np.allclose(twiddle_factors(m, inverse=True), np.conj(w), atol=1e-15)
-
-
-def test_twiddle_factors_read_only():
-    w = twiddle_factors(8)
-    with pytest.raises(ValueError):
-        w[0] = 0
-
-
-def test_twiddle_group_closure():
-    m = 64
-    w = twiddle_factors(m)
-    rng = np.random.default_rng(20)
-    p = rng.integers(0, m, 50)
-    q = rng.integers(0, m, 50)
-    assert np.allclose(w[p] * w[q], w[(p + q) % m], atol=1e-14)
-
-
 def test_rotation_grid():
     n = 256
     k = matrix_side(n)
-    w = twiddle_factors(n)
+    w = np.exp(-2j * np.pi * np.arange(n) / n)
     grid = rotation_grid(n)
     assert grid.shape == (k, k)
     i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
@@ -97,7 +70,7 @@ def test_rotation_grid():
 
 
 # --------------------------------------------------------------------------
-# radix-2 kernel
+# row-transform kernel
 
 
 def test_fft_small_matches_naive_dft():

@@ -17,7 +17,7 @@ from qpa import (
 )
 from qpa.fft import digit_transpose
 from qpa.oracle import hash_direct
-from qpa.pipeline import RESIDUAL_LIMIT, _convolve_natural, _gate_residual
+from qpa.pipeline import MODES, RESIDUAL_LIMIT, _convolve_natural, _gate_residual
 
 # --------------------------------------------------------------------------
 # operand embedding
@@ -168,6 +168,14 @@ def test_residuals_stay_tiny_at_moderate_sizes():
         assert row["max_residual"] == max(
             row["allones_residual"], row["random_residual"]
         )
+
+
+def test_residual_at_the_largest_length():
+    # the all-ones block (every term contributes) and the default random
+    # instances stay far inside the gate at n = 2^20, in both modes
+    for mode in MODES:
+        (row,) = precision_profile([1 << 20], mode=mode)
+        assert row["max_residual"] < 1e-10
 
 
 def test_precision_profile_validation():
