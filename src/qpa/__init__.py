@@ -66,7 +66,6 @@ from .pipeline import (
 from .transpose import (
     AccessCostModel,
     AccessCostReport,
-    TransposeStats,
     bench_transpose,
     default_tile,
     simulate_row_spans,
@@ -110,7 +109,6 @@ __all__ = [
     "real_unpack_spectra",
     "pointwise_multiply",
     "count_transposes",
-    "TransposeStats",
     "AccessCostModel",
     "AccessCostReport",
     "default_tile",

@@ -178,6 +178,8 @@ def cmd_params(args):
     n, t = args.n, args.leaked_bits
     if t < 0:
         raise ParameterError("leaked bits must be non-negative")
+    if args.s_step < 1:
+        raise ParameterError("--s-step must be at least 1, got %d" % args.s_step)
     if not is_supported_length(n):
         print("note: n=%d is not a transform length; table is arithmetic only" % n)
     print("n=%d leaked=%d" % (n, t))

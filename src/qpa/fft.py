@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .transpose import TransposeStats, transpose_blocked
+from .transpose import RunStats, transpose_blocked
 
 __all__ = [
     "SMALL_SIZES",
@@ -277,7 +277,7 @@ def count_transposes(variant, n=64):
     if variant not in fns:
         raise ParameterError("variant must be 'natural' or 'permuted', got %r" % (variant,))
     fn = fns[variant]
-    stats = TransposeStats()
+    stats = RunStats()
     spectrum = fn(np.zeros(n), "forward", stats=stats)
     fn(spectrum, "inverse", stats=stats)
     return stats.transposes

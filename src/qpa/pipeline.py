@@ -11,26 +11,30 @@ For output rows below r the convolution reads only genuine seed bits
 parity of ``conv[i]`` is the block row i, and the final key is
 ``x[:r] XOR parity(conv[:r])``.
 
-Two execution modes produce identical keys:
+`convolve` is the one convolution path.  It packs the two real
+operands into one complex transform, runs it forward, splits the
+spectra, multiplies them and runs the inverse.  The mode picks the
+layout the buffers stay in from load to store:
 
 mode "A"
-    natural-order schedule (`fft2d_natural` forward and inverse, six
-    physical transposes per convolution).
+    natural order (`fft2d_natural` forward and inverse, six physical
+    transposes per convolution).
 
 mode "B"
-    order-insensitive schedule (`fft2d_permuted`, two physical
-    transposes).  Operands are loaded through the digit-transpose index
-    map and results read back through it, which costs two index gathers
-    instead of four matrix transposes.
+    digit-transposed order (`fft2d_permuted`, two physical
+    transposes).  The packed operands are loaded through the
+    digit-transpose map, the spectra are split with the partner map of
+    that layout, and the result stays in it.  `privacy_amplify` stores
+    the parity bits back through the same map, a reorder of n bytes
+    instead of four matrix transposes of n complex values.
 
-Both modes pack the two real operands into one complex transform and
-split the spectra afterwards, so each convolution is one forward and
-one inverse transform.  Values are rounded to integers at the end; the
-largest distance from an integer (the residual) is checked against
-``RESIDUAL_LIMIT`` on every run and reported in `FinalKey`.
+Both modes give identical keys.  Values are rounded to integers at the
+end; the largest distance from an integer (the residual) is checked
+against ``RESIDUAL_LIMIT`` on every run and reported in `FinalKey`.
 """
 
 import dataclasses
+import functools
 import time
 from contextlib import contextmanager
 
@@ -48,6 +52,7 @@ from .fft import (
     real_pack,
     real_unpack_spectra,
 )
+from .transpose import RunStats
 
 __all__ = [
     "RESIDUAL_LIMIT",
@@ -56,6 +61,7 @@ __all__ = [
     "ConvolutionOperands",
     "FinalKey",
     "build_operands",
+    "convolve",
     "run_mode_b_schedule",
     "privacy_amplify",
     "precision_profile",
@@ -63,17 +69,6 @@ __all__ = [
 
 RESIDUAL_LIMIT = 0.25
 MODES = ("A", "B")
-
-
-@dataclasses.dataclass
-class RunStats:
-    """Per-run instrumentation: physical transposes and stage seconds."""
-
-    transposes: int = 0
-    timings: dict = dataclasses.field(default_factory=dict)
-
-    def total_seconds(self):
-        return sum(self.timings.values())
 
 
 @contextmanager
@@ -125,7 +120,7 @@ def build_operands(x, seed, r):
     n = x.length
     if seed.n != n:
         raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
-    if not 0 < r < n:
+    if not isinstance(r, int) or not 0 < r < n:
         raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
     v_circ = np.zeros(n, dtype=np.float64)
     v_circ[1:] = seed.bits.to_bits()[::-1]
@@ -142,73 +137,63 @@ def _gate_residual(residual, n):
         )
 
 
-def _convolve_natural(operands, stats=None, tile=None):
-    """Mode A convolution: natural-order transforms end to end."""
+def convolve(operands, mode="B", stats=None, tile=None):
+    """Cyclic convolution of the operands on the schedule of ``mode``.
+
+    Pack (through the digit-transpose map in mode B), forward
+    transform, spectrum split with the layout's partner map, multiply,
+    inverse with the 1/n scale.  The result stays in the layout's
+    physical order, so ``digit_transpose(convolve(ops, "B"))`` equals
+    ``convolve(ops, "A")``.  An unsupported length raises
+    `ParameterError` before any row transform runs.
+    """
+    if mode not in MODES:
+        raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
     n = operands.n
+    transform = fft2d_permuted if mode == "B" else fft2d_natural
     with _stage(stats, "pack"):
         z = real_pack(operands.x_masked, operands.v_circ)
+        if mode == "B":
+            z = digit_transpose(z)
     with _stage(stats, "forward"):
-        z_hat = fft2d_natural(z, "forward", stats=stats, tile=tile)
+        z_hat = transform(z, "forward", stats=stats, tile=tile)
     with _stage(stats, "unpack"):
-        x_hat, v_hat = real_unpack_spectra(z_hat)
+        x_hat, v_hat = real_unpack_spectra(z_hat, partner=_partner(n, mode))
     with _stage(stats, "multiply"):
         s_hat = pointwise_multiply(x_hat, v_hat)
     with _stage(stats, "inverse"):
-        conv = fft2d_natural(s_hat, "inverse", stats=stats, tile=tile)
+        conv = transform(s_hat, "inverse", stats=stats, tile=tile)
         conv *= 1.0 / n
     return conv
 
 
-def run_mode_b_schedule(operands, raw=False, stats=None, tile=None):
-    """Mode B convolution: both transforms in digit-transposed order.
+run_mode_b_schedule = convolve
 
-    Operands enter through the digit-transpose index map, the spectra
-    are split with the partner map that mirrors frequencies inside the
-    permuted layout, and the result is gathered back to natural order.
-    The returned vector equals the mode A convolution to within
-    floating-point noise; ``raw=True`` skips the final gather and hands
-    back the physical (digit-transposed) buffer instead.
+
+@functools.lru_cache(maxsize=None)
+def _partner(n, mode):
+    """Slot of the mirror frequency n-f for every slot, cached and read-only.
+
+    In natural order slot m holds frequency m, so its partner is
+    (n - m) mod n.  In digit-transposed order slot m holds f = D[m];
+    its mirror sits at slot D[(n - D[m]) mod n] because D is an
+    involution.
     """
-    n = operands.n
-    if not is_supported_length(n):
-        raise ParameterError("n=%r is not a supported transform length" % (n,))
-    with _stage(stats, "pack"):
-        z = digit_transpose(real_pack(operands.x_masked, operands.v_circ))
-    with _stage(stats, "forward"):
-        z_hat = fft2d_permuted(z, "forward", stats=stats, tile=tile)
-    with _stage(stats, "unpack"):
-        x_hat, v_hat = real_unpack_spectra(z_hat, partner=_permuted_partner(n))
-    with _stage(stats, "multiply"):
-        s_hat = pointwise_multiply(x_hat, v_hat)
-    with _stage(stats, "inverse"):
-        conv = fft2d_permuted(s_hat, "inverse", stats=stats, tile=tile)
-        conv *= 1.0 / n
-    if raw:
-        return conv
-    with _stage(stats, "readback"):
-        return digit_transpose(conv)
-
-
-_partner_cache = {}
-
-
-def _permuted_partner(n):
-    """Partner map for spectra stored in digit-transposed order.
-
-    Slot m holds frequency f = D[m]; its mirror n-f sits at slot
-    D[(n - D[m]) mod n] because D is an involution.
-    """
-    got = _partner_cache.get(n)
-    if got is None:
+    if mode == "A":
+        got = (n - np.arange(n)) % n
+    else:
         d = digit_transpose_indices(n)
         got = d[(n - d) % n]
-        got.flags.writeable = False
-        _partner_cache[n] = got
+    got.flags.writeable = False
     return got
 
 
 def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None):
     """Distill an r-bit final key from an n-bit input.
+
+    Runs `convolve` in ``mode``; in mode B the parity bits, not the
+    complex result, are reordered back to natural order.  Every
+    argument is checked before any transform work.
 
     Parameters
     ----------
@@ -243,15 +228,13 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
     PrecisionError
         Rounding residual at or above ``RESIDUAL_LIMIT``.
     """
-    if not isinstance(x, BitVector):
-        raise ParameterError("input must be a BitVector")
-    n = x.length
-    if not is_supported_length(n):
-        raise ParameterError("n=%r is not a supported transform length" % (n,))
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
-    if not isinstance(r, int) or not 0 < r < n:
-        raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
+    with _stage(stats, "build"):
+        operands = build_operands(x, seed, r)
+    n = operands.n
+    if not is_supported_length(n):
+        raise ParameterError("n=%r is not a supported transform length" % (n,))
     if t is not None:
         if not isinstance(t, int) or t < 0:
             raise ParameterError("leaked bits t=%r must be a non-negative int" % (t,))
@@ -261,15 +244,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
                 "security margin n-t-r = %d is below the minimum %d" % (margin, s_min)
             )
 
-    with _stage(stats, "build"):
-        operands = build_operands(x, seed, r)
-
-    if mode == "A":
-        conv = _convolve_natural(operands, stats=stats, tile=tile)
-        permuted_layout = False
-    else:
-        conv = run_mode_b_schedule(operands, raw=True, stats=stats, tile=tile)
-        permuted_layout = True
+    conv = convolve(operands, mode, stats=stats, tile=tile)
 
     with _stage(stats, "finalize"):
         re = conv.real
@@ -279,7 +254,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
         # under the gate nothing sits within 0.25 of a half-integer, so
         # round-half-up and round-to-nearest coincide with `rounded`
         parity = (rounded.astype(np.int64) & 1).astype(np.uint8)
-        if permuted_layout:
+        if mode == "B":
             # store-side address translation back to natural order
             parity = digit_transpose(parity)
         bits = x.bit_range(0, r) ^ parity[:r]

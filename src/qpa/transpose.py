@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "TransposeStats",
+    "RunStats",
     "AccessCostModel",
     "AccessCostReport",
     "default_tile",
@@ -34,10 +34,14 @@ __all__ = [
 
 
 @dataclasses.dataclass
-class TransposeStats:
-    """Counter for physical (memory-moving) transposes."""
+class RunStats:
+    """Per-run instrumentation: physical transposes and stage seconds."""
 
     transposes: int = 0
+    timings: dict = dataclasses.field(default_factory=dict)
+
+    def total_seconds(self):
+        return sum(self.timings.values())
 
 
 def _is_pow2(x):
@@ -87,7 +91,7 @@ def transpose_blocked(m, tile=None, stats=None):
     m : ndarray, k x k with k a power of two.
     tile : int, optional
         Tile side; must divide k. Defaults to `default_tile(k)`.
-    stats : TransposeStats, optional
+    stats : RunStats, optional
         Incremented once per call, like `transpose_naive`.
 
     Returns

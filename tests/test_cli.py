@@ -311,6 +311,15 @@ def test_params_infeasible(capsys):
     assert cli.main(["params", "--n", "64", "--leaked-bits", "-1"]) == 3
 
 
+def test_params_rejects_non_positive_step(capsys):
+    for step in ("0", "-8"):
+        assert cli.main(["params", "--n", "1024", "--leaked-bits", "100",
+                         "--s-step", step]) == 3
+        captured = capsys.readouterr()
+        assert "--s-step" in captured.err
+        assert "no feasible margins" not in captured.err
+
+
 # --------------------------------------------------------------------------
 # bench
 

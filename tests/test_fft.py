@@ -21,7 +21,7 @@ from qpa.fft import (
     supported_lengths,
 )
 from qpa.oracle import cyclic_convolve_naive
-from qpa.transpose import TransposeStats
+from qpa.transpose import RunStats
 
 
 def naive_dft(x, inverse=False):
@@ -234,7 +234,7 @@ def test_transpose_counts():
 
 
 def test_stats_threading():
-    stats = TransposeStats()
+    stats = RunStats()
     fft2d_natural(np.zeros(64), stats=stats)
     assert stats.transposes == 3
     fft2d_permuted(np.zeros(64), stats=stats)

@@ -13,11 +13,10 @@ from qpa import (
     build_operands,
     precision_profile,
     privacy_amplify,
-    run_mode_b_schedule,
 )
 from qpa.fft import digit_transpose
 from qpa.oracle import hash_direct
-from qpa.pipeline import MODES, RESIDUAL_LIMIT, _convolve_natural, _gate_residual
+from qpa.pipeline import MODES, RESIDUAL_LIMIT, _gate_residual, convolve
 
 # --------------------------------------------------------------------------
 # operand embedding
@@ -50,6 +49,15 @@ def test_operand_validation():
     with pytest.raises(ParameterError):
         build_operands(x, random_seed(rng, 65), 8)
     for bad_r in (0, 64, -3):
+        with pytest.raises(ParameterError):
+            build_operands(x, seed, bad_r)
+
+
+def test_operand_validation_rejects_non_integer_r():
+    rng = np.random.default_rng(51)
+    x = random_bitvector(rng, 64)
+    seed = random_seed(rng, 64)
+    for bad_r in (10.0, "10"):
         with pytest.raises(ParameterError):
             build_operands(x, seed, bad_r)
 
@@ -121,21 +129,21 @@ def test_mode_b_convolution_equals_mode_a():
     rng = np.random.default_rng(56)
     for n in (64, 1024):
         ops = build_operands(random_bitvector(rng, n), random_seed(rng, n), n // 2)
-        conv_a = _convolve_natural(ops)
-        conv_b = run_mode_b_schedule(ops)
+        conv_a = convolve(ops, "A")
+        conv_b = digit_transpose(convolve(ops, "B"))
         # address translation only: identical arithmetic, identical result
         assert np.array_equal(conv_b, conv_a)
         assert np.abs(conv_b - conv_a).max() < 1e-9  # the documented bound
 
 
-def test_mode_b_raw_flag_returns_permuted_buffer():
+def test_mode_b_result_is_digit_transposed():
     rng = np.random.default_rng(57)
     n = 64
     ops = build_operands(random_bitvector(rng, n), random_seed(rng, n), 20)
-    conv_a = _convolve_natural(ops)
-    raw = run_mode_b_schedule(ops, raw=True)
-    assert np.array_equal(raw, conv_a[digit_transpose(np.arange(n))])
-    assert np.array_equal(digit_transpose(raw), conv_a)
+    conv_a = convolve(ops, "A")
+    conv_b = convolve(ops, "B")
+    assert np.array_equal(conv_b, conv_a[digit_transpose(np.arange(n))])
+    assert np.array_equal(digit_transpose(conv_b), conv_a)
 
 
 def test_mode_b_rejects_unsupported_length():
@@ -143,8 +151,18 @@ def test_mode_b_rejects_unsupported_length():
         BitVector.zeros(64), ToeplitzSeed(BitVector.zeros(63)), 8
     )
     short = type(ops)(v_circ=ops.v_circ[:32], x_masked=ops.x_masked[:32], r=8)
-    with pytest.raises(ParameterError):
-        run_mode_b_schedule(short)
+    for mode in MODES:
+        with pytest.raises(ParameterError):
+            convolve(short, mode)
+
+
+def test_convolve_rejects_unknown_mode():
+    ops = build_operands(
+        BitVector.zeros(64), ToeplitzSeed(BitVector.zeros(63)), 8
+    )
+    for mode in ("C", "b", None):
+        with pytest.raises(ParameterError):
+            convolve(ops, mode)
 
 
 # --------------------------------------------------------------------------

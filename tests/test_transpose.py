@@ -7,7 +7,7 @@ from qpa import ParameterError
 from qpa.transpose import (
     AccessCostModel,
     AccessCostReport,
-    TransposeStats,
+    RunStats,
     bench_transpose,
     default_tile,
     render_bench_report,
@@ -74,7 +74,7 @@ def test_default_tile():
 
 def test_stats_count_physical_transposes():
     m = np.zeros((8, 8))
-    stats = TransposeStats()
+    stats = RunStats()
     transpose_naive(m, stats=stats)
     transpose_blocked(m, stats=stats)
     transpose_blocked(m, tile=2, stats=stats)
