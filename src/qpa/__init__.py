@@ -33,7 +33,6 @@ from .errors import FormatError, ParameterError, PrecisionError
 from .fft import (
     count_transposes,
     digit_transpose,
-    digit_transpose_indices,
     fft2d_natural,
     fft2d_permuted,
     fft_small,
@@ -46,11 +45,9 @@ from .fft import (
     supported_lengths,
 )
 from .oracle import (
-    ToeplitzView,
     cyclic_convolve_naive,
     hash_direct,
     hash_single_bit,
-    toeplitz_entry,
 )
 from .pipeline import (
     MODES,
@@ -64,7 +61,6 @@ from .pipeline import (
     run_mode_b_schedule,
 )
 from .transpose import (
-    AccessCostModel,
     AccessCostReport,
     bench_transpose,
     default_tile,
@@ -91,8 +87,6 @@ __all__ = [
     "FormatError",
     "ParameterError",
     "PrecisionError",
-    "ToeplitzView",
-    "toeplitz_entry",
     "hash_direct",
     "hash_single_bit",
     "cyclic_convolve_naive",
@@ -103,13 +97,11 @@ __all__ = [
     "fft_small",
     "fft2d_natural",
     "fft2d_permuted",
-    "digit_transpose_indices",
     "digit_transpose",
     "real_pack",
     "real_unpack_spectra",
     "pointwise_multiply",
     "count_transposes",
-    "AccessCostModel",
     "AccessCostReport",
     "default_tile",
     "transpose_naive",

@@ -29,6 +29,7 @@ __all__ = [
     "BitVector",
     "PaParams",
     "ToeplitzSeed",
+    "check_hash_inputs",
     "leakage_bound",
     "final_key_length",
     "generate_seed",
@@ -192,6 +193,25 @@ class ToeplitzSeed:
 
     def __repr__(self):
         return "ToeplitzSeed(n=%d)" % self.n
+
+
+def check_hash_inputs(x, seed, r):
+    """Check an (input, seed, r) triple of the [I | T] hash; returns n.
+
+    ``x`` is a BitVector of n bits, ``seed`` a ToeplitzSeed serving the
+    same n, and ``r`` an int with 0 < r < n.  Raises `ParameterError`
+    otherwise.
+    """
+    if not isinstance(x, BitVector):
+        raise ParameterError("input must be a BitVector")
+    if not isinstance(seed, ToeplitzSeed):
+        raise ParameterError("seed must be a ToeplitzSeed")
+    n = x.length
+    if seed.n != n:
+        raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
+    if not isinstance(r, int) or not 0 < r < n:
+        raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
+    return n
 
 
 def leakage_bound(s):

@@ -7,18 +7,18 @@ transforms of a pass are one batched call into numpy's FFT along the
 last axis (`fft_small`); the schedule around them is what this module
 implements.  Two schedules are provided:
 
-natural
-    transpose, row FFTs, rotation factors, transpose, row FFTs,
-    transpose — three physical transposes per pass, output in standard
-    DFT order.
-
 permuted
     row FFTs, rotation factors, transpose, row FFTs — one physical
-    transpose per pass.  The result is the digit-transposed spectrum:
-    ``fft2d_permuted(x) == D(fft2d_natural(D(x)))`` where ``D`` gathers
-    by `digit_transpose_indices`.  Pointwise products are order
-    agnostic, so a convolution can stay in this layout end to end and
-    skip four of the six transposes.
+    transpose per pass.  Input and output stay digit-transposed: slot
+    i*k + j holds entry j*k + i (`digit_transpose`, written ``D``).
+
+natural
+    the permuted schedule with its outer transposes put back
+    (transpose, `fft2d_permuted`, transpose) — three physical
+    transposes per pass, output in standard DFT order.  So
+    ``fft2d_permuted(x) == D(fft2d_natural(D(x)))`` bit for bit.
+    Pointwise products are order agnostic, so a convolution can stay in
+    the permuted layout end to end and skip four of the six transposes.
 
 Real-valued packing (`real_pack` / `real_unpack_spectra`) recovers the
 spectra of two real sequences from one complex transform of their
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .transpose import RunStats, transpose_blocked
+from .transpose import RunStats, _require_tile, transpose_blocked
 
 __all__ = [
     "SMALL_SIZES",
@@ -46,7 +46,6 @@ __all__ = [
     "fft_small",
     "fft2d_natural",
     "fft2d_permuted",
-    "digit_transpose_indices",
     "digit_transpose",
     "real_pack",
     "real_unpack_spectra",
@@ -142,34 +141,25 @@ def _as_matrix(x):
 def fft2d_natural(x, direction="forward", stats=None, tile=None):
     """Long transform with natural-order input and output.
 
-    transpose, row FFTs, rotation factors, transpose, row FFTs,
-    transpose.  Equal to the plain DFT of ``x`` (inverse: conjugate
-    factors, unscaled).  Physical transposes go through
-    `transpose_blocked` and are counted in ``stats`` when given.
+    `fft2d_permuted` between two physical transposes, so three
+    transposes per pass, counted in ``stats`` when given.  Equal to the
+    plain DFT of ``x`` (inverse: conjugate factors, unscaled).
     """
-    a = _as_matrix(x)
-    n = a.size
-    inverse = _direction_is_inverse(direction)
-    a = transpose_blocked(a, tile=tile, stats=stats)
-    a = fft_small(a, direction)
-    a *= rotation_grid(n, inverse)
-    a = transpose_blocked(a, tile=tile, stats=stats)
-    a = fft_small(a, direction)
-    a = transpose_blocked(a, tile=tile, stats=stats)
-    return a.reshape(n)
+    a = transpose_blocked(_as_matrix(x), tile=tile, stats=stats)
+    a = fft2d_permuted(a.reshape(-1), direction, stats, tile)
+    return transpose_blocked(_as_matrix(a), tile=tile, stats=stats).reshape(-1)
 
 
 def fft2d_permuted(x, direction="forward", stats=None, tile=None):
     """Long transform that keeps input and output digit-transposed.
 
-    row FFTs, rotation factors, transpose, row FFTs — the outer
-    transposes of the natural schedule are dropped, so
-    ``fft2d_permuted(x) == D(fft2d_natural(D(x)))`` with ``D`` the
-    `digit_transpose_indices` gather.
+    row FFTs, rotation factors, transpose, row FFTs.  The direction and
+    the tile are checked before the first row FFT.
     """
     a = _as_matrix(x)
     n = a.size
     inverse = _direction_is_inverse(direction)
+    tile = _require_tile(a.shape[0], tile)
     a = fft_small(a, direction)
     a *= rotation_grid(n, inverse)
     a = transpose_blocked(a, tile=tile, stats=stats)
@@ -177,25 +167,14 @@ def fft2d_permuted(x, direction="forward", stats=None, tile=None):
     return a.reshape(n)
 
 
-@functools.lru_cache(maxsize=None)
-def digit_transpose_indices(n):
-    """Index map D with D[i*k + j] = j*k + i, cached and read-only.
-
-    Gathering by D reads a k x k row-major matrix column by column; D is
-    an involution (compose it with itself to get the identity).
-    """
-    k = matrix_side(n)
-    d = np.arange(n, dtype=np.intp).reshape(k, k).T.reshape(-1).copy()
-    d.flags.writeable = False
-    return d
-
-
 def digit_transpose(v):
-    """Apply the digit-transpose gather to a 1-D buffer, as a copy.
+    """Digit-transpose a 1-D buffer of length k*k, as a copy.
 
-    Same result as gathering by `digit_transpose_indices`, done as a
-    k x k matrix transpose.  This is the load/store address translation
-    around the permuted schedule, not one of its counted transposes.
+    Slot i*k + j of the result holds entry j*k + i: the buffer read as a
+    k x k row-major matrix, column by column.  An involution.  This is
+    the load/store address translation around the permuted schedule,
+    not one of its counted transposes; ``digit_transpose(np.arange(n))``
+    is the index map itself.
     """
     v = np.asarray(v)
     if v.ndim != 1:

@@ -8,18 +8,17 @@ the n-1 seed bits.  Output bit i is
 
 Everything here is plain bit arithmetic over packed bytes; the FFT
 pipeline is checked against these functions bit for bit, and they in
-turn are checked against a per-bit triple loop in the tests.
+turn are checked against a per-bit triple loop in the tests.  Inputs
+are checked by `check_hash_inputs`, the same check the pipeline runs.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BitVector, ToeplitzSeed
+from .core import BitVector, check_hash_inputs
 from .errors import ParameterError
 
 __all__ = [
-    "ToeplitzView",
-    "toeplitz_entry",
     "hash_direct",
     "hash_single_bit",
     "cyclic_convolve_naive",
@@ -31,52 +30,8 @@ _PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
 # cap on the rows x packed-columns product materialized at once (~32 MB)
 _CHUNK_BYTES = 1 << 25
 
-
-def _check_geometry(n, r):
-    if not 0 < r < n:
-        raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
-
-
-def toeplitz_entry(seed, r, i, j):
-    """Entry (i, j) of the compressing block: bit r-1-i+j of the seed."""
-    if not isinstance(seed, ToeplitzSeed):
-        raise ParameterError("seed must be a ToeplitzSeed")
-    n = seed.n
-    _check_geometry(n, r)
-    if not 0 <= i < r:
-        raise ParameterError("row %r out of range [0, %d)" % (i, r))
-    if not 0 <= j < n - r:
-        raise ParameterError("column %r out of range [0, %d)" % (j, n - r))
-    return seed.bits.bit(r - 1 - i + j)
-
-
-class ToeplitzView:
-    """Lazy view of the r x (n-r) block defined by a seed.
-
-    Never materializes the matrix; rows are length-(n-r) windows into
-    the seed bits, sliding down one position per row.
-    """
-
-    def __init__(self, seed, r):
-        if not isinstance(seed, ToeplitzSeed):
-            raise ParameterError("seed must be a ToeplitzSeed")
-        _check_geometry(seed.n, r)
-        self.seed = seed
-        self.r = r
-
-    @property
-    def shape(self):
-        return (self.r, self.seed.n - self.r)
-
-    def entry(self, i, j):
-        return toeplitz_entry(self.seed, self.r, i, j)
-
-    def row(self, i):
-        """Row i as a uint8 array: seed bits r-1-i .. n-2-i."""
-        if not 0 <= i < self.r:
-            raise ParameterError("row %r out of range [0, %d)" % (i, self.r))
-        start = self.r - 1 - i
-        return self.seed.bits.bit_range(start, start + self.shape[1])
+# row bits `hash_single_bit` unpacks at once
+_ROW_CHUNK_BITS = 1 << 16
 
 
 def _shifted_seed_bytes(seed_bits, pad_bytes):
@@ -110,15 +65,7 @@ def hash_direct(x, seed, r):
     -------
     BitVector of length r
     """
-    if not isinstance(x, BitVector):
-        raise ParameterError("input must be a BitVector")
-    if not isinstance(seed, ToeplitzSeed):
-        raise ParameterError("seed must be a ToeplitzSeed")
-    n = x.length
-    if seed.n != n:
-        raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
-    _check_geometry(n, r)
-
+    n = check_hash_inputs(x, seed, r)
     xbits = x.to_bits()
     head = xbits[:r]
     tail_packed = np.packbits(xbits[r:], bitorder="little")
@@ -144,28 +91,21 @@ def hash_direct(x, seed, r):
     return BitVector.from_bits(head ^ block_parity)
 
 
-def hash_single_bit(x, seed, r, i, chunk_bits=1 << 16):
+def hash_single_bit(x, seed, r, i):
     """Output bit i alone, streaming the row in fixed-size chunks.
 
-    Runs in O(n) time with O(chunk_bits) extra memory, so a handful of
-    rows of a 2**20-bit session can be spot-checked without paying for
-    the full hash.  Matches ``hash_direct(x, seed, r).bit(i)``.
+    Runs in O(n) time with O(``_ROW_CHUNK_BITS``) extra memory, so a
+    handful of rows of a 2**20-bit session can be spot-checked without
+    paying for the full hash.  Matches ``hash_direct(x, seed, r).bit(i)``.
     """
-    if not isinstance(x, BitVector):
-        raise ParameterError("input must be a BitVector")
-    if not isinstance(seed, ToeplitzSeed):
-        raise ParameterError("seed must be a ToeplitzSeed")
-    n = x.length
-    if seed.n != n:
-        raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
-    _check_geometry(n, r)
-    if not 0 <= i < r:
+    n = check_hash_inputs(x, seed, r)
+    if not isinstance(i, int) or not 0 <= i < r:
         raise ParameterError("row %r out of range [0, %d)" % (i, r))
 
     start = r - 1 - i
     parity = 0
-    for lo in range(0, n - r, chunk_bits):
-        span = min(chunk_bits, n - r - lo)
+    for lo in range(0, n - r, _ROW_CHUNK_BITS):
+        span = min(_ROW_CHUNK_BITS, n - r - lo)
         row_bits = seed.bits.bit_range(start + lo, start + lo + span)
         tail_bits = x.bit_range(r + lo, r + lo + span)
         parity ^= int(np.bitwise_xor.reduce(row_bits & tail_bits))

@@ -40,11 +40,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .core import BitVector, ToeplitzSeed
+from .core import BitVector, ToeplitzSeed, check_hash_inputs
 from .errors import ParameterError, PrecisionError
 from .fft import (
     digit_transpose,
-    digit_transpose_indices,
     fft2d_natural,
     fft2d_permuted,
     is_supported_length,
@@ -113,15 +112,7 @@ def build_operands(x, seed, r):
     the pair then reproduces every block row below r exactly (the
     padding slot only ever multiplies masked-off entries there).
     """
-    if not isinstance(x, BitVector):
-        raise ParameterError("input must be a BitVector")
-    if not isinstance(seed, ToeplitzSeed):
-        raise ParameterError("seed must be a ToeplitzSeed")
-    n = x.length
-    if seed.n != n:
-        raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
-    if not isinstance(r, int) or not 0 < r < n:
-        raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
+    n = check_hash_inputs(x, seed, r)
     v_circ = np.zeros(n, dtype=np.float64)
     v_circ[1:] = seed.bits.to_bits()[::-1]
     x_masked = x.to_bits().astype(np.float64)
@@ -175,14 +166,14 @@ def _partner(n, mode):
     """Slot of the mirror frequency n-f for every slot, cached and read-only.
 
     In natural order slot m holds frequency m, so its partner is
-    (n - m) mod n.  In digit-transposed order slot m holds f = D[m];
-    its mirror sits at slot D[(n - D[m]) mod n] because D is an
-    involution.
+    (n - m) mod n.  In digit-transposed order slot m holds f = D[m],
+    with D = ``digit_transpose(arange(n))``; its mirror sits at slot
+    D[(n - D[m]) mod n] because D is an involution.
     """
     if mode == "A":
         got = (n - np.arange(n)) % n
     else:
-        d = digit_transpose_indices(n)
+        d = digit_transpose(np.arange(n))
         got = d[(n - d) % n]
     got.flags.writeable = False
     return got

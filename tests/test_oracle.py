@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_hash, random_bitvector, random_seed
 from qpa import BitVector, ParameterError, ToeplitzSeed
-from qpa.oracle import (
-    ToeplitzView,
-    cyclic_convolve_naive,
-    hash_direct,
-    hash_single_bit,
-    toeplitz_entry,
-)
+from qpa import oracle
+from qpa.oracle import cyclic_convolve_naive, hash_direct, hash_single_bit
 
 # --------------------------------------------------------------------------
 # worked example, small enough to check by hand
@@ -33,41 +28,6 @@ SEED8 = ToeplitzSeed(BitVector.from_bits([1, 0, 1, 1, 0, 1, 0]))
 def test_frozen_example():
     assert tuple(hash_direct(X8, SEED8, 3).to_bits()) == (0, 0, 1)
     assert np.array_equal(brute_force_hash(X8, SEED8, 3), [0, 0, 1])
-
-
-def test_entry_rule():
-    # entry (i, j) is seed bit r-1-i+j
-    r = 3
-    for i in range(r):
-        for j in range(8 - r):
-            assert toeplitz_entry(SEED8, r, i, j) == SEED8.bits.bit(r - 1 - i + j)
-    # constant along diagonals
-    assert toeplitz_entry(SEED8, r, 1, 1) == toeplitz_entry(SEED8, r, 2, 2)
-
-
-def test_entry_validation():
-    with pytest.raises(ParameterError):
-        toeplitz_entry(SEED8, 0, 0, 0)
-    with pytest.raises(ParameterError):
-        toeplitz_entry(SEED8, 8, 0, 0)
-    with pytest.raises(ParameterError):
-        toeplitz_entry(SEED8, 3, 3, 0)
-    with pytest.raises(ParameterError):
-        toeplitz_entry(SEED8, 3, 0, 5)
-    with pytest.raises(ParameterError):
-        toeplitz_entry("bits", 3, 0, 0)
-
-
-def test_view_rows_match_entries():
-    view = ToeplitzView(SEED8, 3)
-    assert view.shape == (3, 5)
-    for i in range(3):
-        row = view.row(i)
-        assert row.shape == (5,)
-        for j in range(5):
-            assert row[j] == view.entry(i, j)
-    with pytest.raises(ParameterError):
-        view.row(3)
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +92,7 @@ def test_hash_direct_validation():
     rng = np.random.default_rng(14)
     x = random_bitvector(rng, 16)
     seed = random_seed(rng, 16)
-    for bad_r in (0, 16, -1):
+    for bad_r in (0, 16, -1, 10.0):
         with pytest.raises(ParameterError):
             hash_direct(x, seed, bad_r)
     with pytest.raises(ParameterError):
@@ -151,14 +111,15 @@ def test_hash_single_bit_matches_hash_direct():
             assert hash_single_bit(x, seed, r, int(i)) == full.bit(int(i))
 
 
-def test_hash_single_bit_tiny_chunks():
+def test_hash_single_bit_tiny_chunks(monkeypatch):
     # chunks smaller than the row force the streaming loop to iterate
+    monkeypatch.setattr(oracle, "_ROW_CHUNK_BITS", 16)
     rng = np.random.default_rng(16)
     x = random_bitvector(rng, 300)
     seed = random_seed(rng, 300)
     full = hash_direct(x, seed, 60)
     for i in (0, 31, 59):
-        assert hash_single_bit(x, seed, 60, i, chunk_bits=16) == full.bit(i)
+        assert hash_single_bit(x, seed, 60, i) == full.bit(i)
 
 
 def test_hash_single_bit_validation():
@@ -169,6 +130,10 @@ def test_hash_single_bit_validation():
         hash_single_bit(x, seed, 4, 4)
     with pytest.raises(ParameterError):
         hash_single_bit(x, seed, 4, -1)
+    with pytest.raises(ParameterError):
+        hash_single_bit(x, seed, 10.0, 0)
+    with pytest.raises(ParameterError):
+        hash_single_bit(x, seed, 4, 1.0)
 
 
 # --------------------------------------------------------------------------

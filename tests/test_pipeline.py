@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qpa.fft
 from conftest import random_bitvector, random_seed
 from qpa import (
     BitVector,
@@ -263,3 +264,22 @@ def test_explicit_tile_changes_nothing():
             assert privacy_amplify(x, seed, 90, mode=mode, tile=tile).bits == base.bits
     with pytest.raises(ParameterError):
         privacy_amplify(x, seed, 90, tile=3)
+
+
+def test_bad_tile_fails_before_any_row_transform(monkeypatch):
+    rng = np.random.default_rng(62)
+    n = 256  # k = 16; tile 3 does not divide it
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    calls = []
+    fft_small = qpa.fft.fft_small
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft_small(*args, **kwargs)
+
+    monkeypatch.setattr(qpa.fft, "fft_small", counted)
+    for mode in MODES:
+        with pytest.raises(ParameterError):
+            privacy_amplify(x, seed, 90, mode=mode, tile=3)
+    assert calls == []

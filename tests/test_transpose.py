@@ -5,7 +5,6 @@ import pytest
 
 from qpa import ParameterError
 from qpa.transpose import (
-    AccessCostModel,
     AccessCostReport,
     RunStats,
     bench_transpose,
@@ -85,16 +84,6 @@ def test_stats_count_physical_transposes():
 # row-span cost model
 
 
-def test_count_events():
-    model = AccessCostModel(8)
-    assert model.count_events([]) == 0
-    assert model.count_events([5]) == 1
-    assert model.count_events([1, 1, 2, 2, 1]) == 3
-    assert model.count_events([0, 1, 2, 3]) == 4
-    with pytest.raises(ParameterError):
-        AccessCostModel(12)
-
-
 def test_naive_row_spans_closed_form():
     # writing row-major costs k (one event per row), reading
     # column-major costs k*k (every access changes rows)
@@ -152,12 +141,6 @@ def test_bench_transpose_smoke():
     assert report["naive_gbps"] > 0 and report["blocked_gbps"] > 0
     assert report["naive_row_spans"] == 64 + 64 * 64
     assert report["blocked_row_spans"] == 2 * 4 * 64
-
-
-def test_bench_transpose_dtype_parameter():
-    report = bench_transpose(64, repetitions=1, dtype=np.float64)
-    assert report["dtype"] == "float64"
-    assert report["data_mbits"] == pytest.approx(0.25)
 
 
 def test_render_and_write_report(tmp_path):
