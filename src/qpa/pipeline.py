@@ -43,6 +43,7 @@ import numpy as np
 from .core import BitVector, ToeplitzSeed, check_hash_inputs
 from .errors import ParameterError, PrecisionError
 from .fft import (
+    _BLOCK,
     digit_transpose,
     fft2d_natural,
     fft2d_permuted,
@@ -146,12 +147,16 @@ def convolve(operands, mode="B", stats=None, tile=None):
         z = real_pack(operands.x_masked, operands.v_circ)
         if mode == "B":
             z = digit_transpose(z)
+    # each full-size buffer is dropped once spent, so the next one can
+    # reuse its memory
     with _stage(stats, "forward"):
-        z_hat = transform(z, "forward", stats=stats, tile=tile)
+        z = transform(z, "forward", stats=stats, tile=tile)
     with _stage(stats, "unpack"):
-        x_hat, v_hat = real_unpack_spectra(z_hat, partner=_partner(n, mode))
+        x_hat, v_hat = real_unpack_spectra(z, partner=_partner(n, mode))
+    del z
     with _stage(stats, "multiply"):
         s_hat = pointwise_multiply(x_hat, v_hat)
+    del x_hat, v_hat
     with _stage(stats, "inverse"):
         conv = transform(s_hat, "inverse", stats=stats, tile=tile)
         conv *= 1.0 / n
@@ -184,7 +189,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
 
     Runs `convolve` in ``mode``; in mode B the parity bits, not the
     complex result, are reordered back to natural order.  Every
-    argument is checked before any transform work.
+    argument is checked before the operands are built.
 
     Parameters
     ----------
@@ -198,14 +203,13 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
         Transform schedule; identical output either way.
     t : int, optional
         Bits assumed leaked.  When given, the security margin
-        n - t - r is checked against ``s_min`` before any transform
-        work happens.
+        n - t - r is checked against ``s_min`` before any work happens.
     s_min : int
         Smallest acceptable security margin (used only with ``t``).
     stats : RunStats, optional
         Collects transpose counts and per-stage timings.
     tile : int, optional
-        Tile side for the physical transposes.
+        Tile side for the physical transposes; min(k, 64) when omitted.
 
     Returns
     -------
@@ -221,9 +225,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
     """
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
-    with _stage(stats, "build"):
-        operands = build_operands(x, seed, r)
-    n = operands.n
+    n = check_hash_inputs(x, seed, r)
     if not is_supported_length(n):
         raise ParameterError("n=%r is not a supported transform length" % (n,))
     if t is not None:
@@ -235,16 +237,30 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
                 "security margin n-t-r = %d is below the minimum %d" % (margin, s_min)
             )
 
+    with _stage(stats, "build"):
+        operands = build_operands(x, seed, r)
     conv = convolve(operands, mode, stats=stats, tile=tile)
 
     with _stage(stats, "finalize"):
-        re = conv.real
-        rounded = np.rint(re)
-        residual = float(max(np.abs(re - rounded).max(), np.abs(conv.imag).max()))
+        # block by block: round, leave the rounding error in the real
+        # part, and take the residual as the largest magnitude among the
+        # float64 pairs (np.max keeps a NaN).  Under the gate nothing
+        # sits within 0.25 of a half-integer, so round-half-up and
+        # round-to-nearest give the same parity.  A NaN or inf makes the
+        # gate raise, so its parity is never used and its casts stay
+        # silent.
+        parity = np.empty(n, dtype=np.uint8)
+        peaks = []
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, n, _BLOCK):
+                block = conv[lo:lo + _BLOCK]
+                rounded = np.rint(block.real)
+                block.real -= rounded
+                err = block.view(np.float64)
+                peaks += [err.max(), -err.min()]
+                parity[lo:lo + _BLOCK] = rounded.astype(np.int64) & 1
+        residual = float(np.max(peaks))
         _gate_residual(residual, n)
-        # under the gate nothing sits within 0.25 of a half-integer, so
-        # round-half-up and round-to-nearest coincide with `rounded`
-        parity = (rounded.astype(np.int64) & 1).astype(np.uint8)
         if mode == "B":
             # store-side address translation back to natural order
             parity = digit_transpose(parity)

@@ -10,6 +10,9 @@ keeps both the reads and the writes inside small groups of memory rows.
 `simulate_row_spans` replays the access order of either strategy against
 that one-matrix-row-per-memory-row model and counts row-change events,
 so the modeled costs are derived from the trace rather than quoted.
+Its tile, `default_tile(k)`, is not the tile the transposes execute
+with: on a CPU every tile is one Python-level slice copy, so with no
+``tile`` given `transpose_blocked` runs at the measured min(k, 64).
 """
 
 import dataclasses
@@ -56,16 +59,31 @@ def _require_square(m):
     return k
 
 
+# Largest tile the transposes execute with when the caller picks none.
+# One k x k complex128 transpose on a 2-core x86 VM (numpy 2.4.6): tile
+# 64 is within microseconds of one strided copy up to k = 256 and beats
+# it from k = 512, where the copy's column reads miss the cache; the
+# model's `default_tile` runs a Python loop of up to 1024 tile copies
+# and is slower at every k (README, "Tiled transposes").
+_EXECUTED_TILE = 64
+
+
 def _require_tile(k, tile):
+    """The tile to execute with: ``tile`` checked, or min(k, 64) if None."""
     if tile is None:
-        return default_tile(k)
+        return min(k, _EXECUTED_TILE)
     if not isinstance(tile, int) or tile < 1 or tile > k or k % tile:
         raise ParameterError("tile %r must divide the matrix side %d" % (tile, k))
     return tile
 
 
 def default_tile(k):
-    """Tile side used when the caller does not pick one (32 at k=1024)."""
+    """Tile side of the memory-row model (32 at k=1024).
+
+    `simulate_row_spans` and `bench_transpose` use it when no tile is
+    given.  The transposes themselves execute at min(k, 64) unless the
+    caller picks a tile (`transpose_blocked`).
+    """
     return max(4, k // 32)
 
 
@@ -89,7 +107,8 @@ def transpose_blocked(m, tile=None, stats=None):
     ----------
     m : ndarray, k x k with k a power of two.
     tile : int, optional
-        Tile side; must divide k. Defaults to `default_tile(k)`.
+        Tile side; must divide k. Defaults to min(k, 64), the tile
+        measured fastest on a CPU, not the model's `default_tile(k)`.
     stats : RunStats, optional
         Incremented once per call, like `transpose_naive`.
 
@@ -165,7 +184,7 @@ def simulate_row_spans(strategy, k, tile=None):
         write_trace = np.repeat(np.arange(k, dtype=np.int64), k)
         read_trace = np.tile(np.arange(k, dtype=np.int64), k)
     elif strategy == "blocked":
-        tile = _require_tile(k, tile)
+        tile = _require_tile(k, default_tile(k) if tile is None else tile)
         if tile < 2:
             raise ParameterError("simulator tile must be at least 2, got %d" % tile)
         rows = _blocked_memory_rows(k, tile)
@@ -195,9 +214,10 @@ def bench_transpose(k, tile=None, repetitions=3):
     Checks the two outputs for equality before timing, then reports
     best-of-`repetitions` throughput alongside the modeled row-span
     totals.  Gbps uses decimal 1e9; the data size is reported in Mb
-    (2**20 bits).  The data is drawn from a fixed seed (17).
+    (2**20 bits).  The data is drawn from a fixed seed (17).  With no
+    ``tile`` the blocked strategy runs at the model's `default_tile(k)`.
     """
-    tile = _require_tile(k, tile)
+    tile = _require_tile(k, default_tile(k) if tile is None else tile)
     rng = np.random.default_rng(17)
     data = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qpa.fft
 from qpa import ParameterError
 from qpa.fft import (
     SMALL_SIZES,
@@ -91,6 +92,36 @@ def test_fft_small_round_trip_and_batching():
     assert np.allclose(back, x, atol=1e-12)
     for row in range(5):
         assert np.allclose(spec[row], fft_small(x[row]), atol=0)
+
+
+@pytest.mark.parametrize("fft_out", [True, False])
+def test_large_batches_split_over_two_threads_exactly(monkeypatch, fft_out):
+    # batches of 2^18 points or more run half their rows on a helper
+    # thread; every row must come out as in one numpy call, whether the
+    # halves are written in place (numpy 2) or copied into place
+    monkeypatch.setattr(qpa.fft, "_SPLIT", True)
+    monkeypatch.setattr(qpa.fft, "_FFT_OUT", fft_out and qpa.fft._FFT_OUT)
+    rng = np.random.default_rng(23)
+    for shape in ((512, 512), (3, 256, 512), (64, 4096)):
+        x = random_complex(rng, shape)
+        assert np.array_equal(fft_small(x), np.fft.fft(x, axis=-1))
+        assert np.array_equal(
+            fft_small(x, "inverse"), np.fft.ifft(x, axis=-1, norm="forward")
+        )
+
+
+def test_two_thread_split_covers_the_range_and_reraises(monkeypatch):
+    monkeypatch.setattr(qpa.fft, "_SPLIT", True)
+    seen = []
+    qpa.fft._in_halves(lambda lo, hi: seen.append((lo, hi)), 5, 1 << 18)
+    assert sorted(seen) == [(0, 2), (2, 5)]
+
+    def fail_first_half(lo, hi):
+        if lo == 0:  # the helper thread's half
+            raise MemoryError("helper")
+
+    with pytest.raises(MemoryError, match="helper"):
+        qpa.fft._in_halves(fail_first_half, 5, 1 << 18)
 
 
 def test_fft_small_never_aliases_input():
@@ -185,6 +216,14 @@ def test_fft2d_validation():
         fft2d_natural(np.zeros((8, 8)))
     with pytest.raises(ParameterError):
         fft2d_permuted(np.zeros(64), "sideways")
+
+
+def test_natural_checks_arguments_before_any_transpose():
+    for bad in ({"direction": "sideways"}, {"tile": 3}):
+        stats = RunStats()
+        with pytest.raises(ParameterError):
+            fft2d_natural(np.zeros(64), stats=stats, **bad)
+        assert stats.transposes == 0
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """End-to-end distillation pipeline against the exact reference hash."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import qpa.fft
+import qpa.pipeline
 from conftest import random_bitvector, random_seed
 from qpa import (
     BitVector,
@@ -18,6 +21,7 @@ from qpa import (
 from qpa.fft import digit_transpose
 from qpa.oracle import hash_direct
 from qpa.pipeline import MODES, RESIDUAL_LIMIT, _gate_residual, convolve
+from qpa.transpose import default_tile
 
 # --------------------------------------------------------------------------
 # operand embedding
@@ -178,6 +182,24 @@ def test_residual_gate():
     assert RESIDUAL_LIMIT == 0.25
 
 
+def test_non_finite_convolution_fails_the_gate_silently(monkeypatch):
+    # the finalize step takes the parity before the gate runs; a NaN or
+    # inf must still end in PrecisionError, with no warning on the way
+    rng = np.random.default_rng(66)
+    n = 1 << 18  # several finalize blocks
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        conv = np.zeros(n, dtype=np.complex128)
+        conv[n - 5] = bad
+
+        monkeypatch.setattr(qpa.pipeline, "convolve", lambda *a, conv=conv, **k: conv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError):
+                privacy_amplify(x, seed, n // 2, mode="B")
+
+
 def test_residuals_stay_tiny_at_moderate_sizes():
     rows = precision_profile([64, 256, 4096], random_instances=2)
     assert [row["n"] for row in rows] == [64, 256, 4096]
@@ -236,6 +258,15 @@ def test_pipeline_validation():
             privacy_amplify(x, seed, bad_r)
 
 
+def test_unsupported_length_fails_before_the_build():
+    rng = np.random.default_rng(63)
+    n = 3000  # not k*k for a power of two k
+    stats = RunStats()
+    with pytest.raises(ParameterError):
+        privacy_amplify(random_bitvector(rng, n), random_seed(rng, n), 100, stats=stats)
+    assert "build" not in stats.timings
+
+
 def test_run_stats():
     rng = np.random.default_rng(60)
     n = 256
@@ -283,3 +314,48 @@ def test_bad_tile_fails_before_any_row_transform(monkeypatch):
         with pytest.raises(ParameterError):
             privacy_amplify(x, seed, 90, mode=mode, tile=3)
     assert calls == []
+
+
+def test_schedules_transpose_at_the_executed_tile(monkeypatch):
+    # the executed tile is min(k, 64), not the row-span model's
+    # default_tile(k); an explicit tile is passed through unchanged.
+    # Only the counted transposes are recorded: digit_transpose runs
+    # the same copy without stats.
+    rng = np.random.default_rng(64)
+    tiles = []
+    transpose_blocked = qpa.fft.transpose_blocked
+
+    def recorded(m, tile=None, stats=None):
+        if stats is not None:
+            tiles.append(tile)
+        return transpose_blocked(m, tile=tile, stats=stats)
+
+    monkeypatch.setattr(qpa.fft, "transpose_blocked", recorded)
+    for k in (8, 128, 1024):
+        n = k * k
+        x = random_bitvector(rng, n)
+        seed = random_seed(rng, n)
+        for mode, count in (("A", 6), ("B", 2)):
+            for tile, want in ((None, min(k, 64)), (4, 4), (k, k)):
+                tiles.clear()
+                privacy_amplify(x, seed, n // 2, mode=mode, stats=RunStats(), tile=tile)
+                assert tiles == [want] * count
+
+
+def test_keys_do_not_depend_on_the_tile():
+    rng = np.random.default_rng(65)
+    for p in range(3, 10):
+        k = 1 << p
+        n = k * k
+        x = random_bitvector(rng, n)
+        seed = random_seed(rng, n)
+        r = int(rng.integers(1, n))
+        for mode in MODES:
+            key = privacy_amplify(x, seed, r, mode=mode).bits
+            for tile in (default_tile(k), k):
+                assert privacy_amplify(x, seed, r, mode=mode, tile=tile).bits == key
+    n = 1 << 20
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    key = privacy_amplify(x, seed, n // 2, mode="B").bits
+    assert privacy_amplify(x, seed, n // 2, mode="B", tile=default_tile(1024)).bits == key
