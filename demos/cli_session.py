@@ -24,7 +24,7 @@ with tempfile.TemporaryDirectory() as tmp:
     raw_path = tmp / "raw.qpa1"
     seed_path = tmp / "seed.qpa1"
     final_path = tmp / "final.qpa1"
-    manifest = tmp / "runs.txt"
+    manifest = tmp / "runs.jsonl"
 
     # a 65536-bit raw key to work on
     raw = qpa.BitVector.from_bits(rng.integers(0, 2, 1 << 16, dtype=np.uint8))
@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # distill with the margin checked up front, appending to a manifest
     print("\n$ qpa run --input raw.qpa1 --output final.qpa1 --seed-file seed.qpa1 \\")
-    print("      --leaked-bits 20000 --security-bits 64 --manifest runs.txt")
+    print("      --leaked-bits 20000 --security-bits 64 --manifest runs.jsonl")
     code = main(["run", "--input", str(raw_path), "--output", str(final_path),
                  "--seed-file", str(seed_path),
                  "--leaked-bits", "20000", "--security-bits", "64",
@@ -67,5 +67,5 @@ with tempfile.TemporaryDirectory() as tmp:
                  "--seed-file", str(seed_path), "--full-compare-limit", "65536"])
     print("exit code %d (5 means verification mismatch)" % code)
 
-    print("\nmanifest written by the run:")
+    print("\nmanifest written by the run (one JSON line per run):")
     print(manifest.read_text())

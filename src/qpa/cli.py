@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 file-format error, 3 parameter error,
 
 import argparse
 import datetime
+import json
 import sys
 
 import numpy as np
@@ -34,12 +35,7 @@ from .errors import FormatError, ParameterError, PrecisionError
 from .fft import is_supported_length, matrix_side, supported_lengths
 from .oracle import hash_direct, hash_single_bit
 from .pipeline import RunStats, privacy_amplify
-from .transpose import (
-    bench_transpose,
-    render_bench_report,
-    simulate_row_spans,
-    write_bench_report,
-)
+from .transpose import bench_transpose, render_bench_report, simulate_row_spans
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -88,13 +84,10 @@ def _resolve_r(args, n):
     return r, args.leaked_bits, args.security_bits
 
 
-def _append_manifest(path, record):
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
+def _append_record(path, record):
+    """Append ``record`` to ``path`` as one line of JSON."""
     with open(path, "a", encoding="ascii") as fh:
-        fh.write("[run %s]\n" % stamp)
-        for key, value in record.items():
-            fh.write("%s=%s\n" % (key, value))
-        fh.write("\n")
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def cmd_run(args):
@@ -105,25 +98,26 @@ def cmd_run(args):
     stats = RunStats()
     key = privacy_amplify(
         x, seed, r, mode=args.mode, t=t, s_min=s if s is not None else 1,
-        stats=stats, tile=args.tile,
+        stats=stats,
     )
     write_bits(key.bits, args.output, ROLE_FINAL)
-    record = {
-        "input": args.input,
-        "output": args.output,
-        "n": n,
-        "r": r,
-        "t": t if t is not None else "n/a",
-        "s": (n - t - r) if t is not None else "n/a",
-        "mode": key.mode,
-        "residual": "%.3e" % key.residual,
-        "transposes": stats.transposes,
-    }
-    for name, seconds in stats.timings.items():
-        record["seconds_%s" % name] = "%.6f" % seconds
-    record["seconds_total"] = "%.6f" % stats.total_seconds()
     if args.manifest:
-        _append_manifest(args.manifest, record)
+        record = {
+            "time": datetime.datetime.now().isoformat(timespec="seconds"),
+            "input": args.input,
+            "output": args.output,
+            "n": n,
+            "r": r,
+            "t": t,
+            "s": s,
+            "mode": key.mode,
+            "residual": key.residual,
+            "transposes": stats.transposes,
+            "seconds_total": stats.total_seconds(),
+        }
+        for name, seconds in stats.timings.items():
+            record["seconds_%s" % name] = seconds
+        _append_record(args.manifest, record)
     print(
         "distilled %d bits from %d (mode %s, residual %.3e) -> %s"
         % (r, n, key.mode, key.residual, args.output)
@@ -180,28 +174,31 @@ def cmd_params(args):
         raise ParameterError("leaked bits must be non-negative")
     if args.s_step < 1:
         raise ParameterError("--s-step must be at least 1, got %d" % args.s_step)
+    if not 0 <= args.s_min <= args.s_max:
+        raise ParameterError(
+            "margin range needs 0 <= --s-min <= --s-max, got --s-min %d --s-max %d"
+            % (args.s_min, args.s_max)
+        )
+    if n - t - args.s_min < 1:
+        raise ParameterError(
+            "no feasible margins: n-t = %d leaves no key at s >= %d" % (n - t, args.s_min)
+        )
     if not is_supported_length(n):
         print("note: n=%d is not a transform length; table is arithmetic only" % n)
     print("n=%d leaked=%d" % (n, t))
     print("%10s %12s %22s" % ("margin s", "final r", "leakage bound (bits)"))
-    printed = 0
     for s in range(args.s_min, args.s_max + 1, args.s_step):
         if n - t - s < 1:
             break
         print("%10d %12d %22.6e" % (s, n - t - s, leakage_bound(s)))
-        printed += 1
-    if not printed:
-        raise ParameterError(
-            "no feasible margins: n-t = %d leaves no key at s >= %d" % (n - t, args.s_min)
-        )
     return EXIT_OK
 
 
-def _time_mode(x, seed, r, mode, tile, repetitions):
+def _time_mode(x, seed, r, mode, repetitions):
     best, best_stats = None, None
     for _ in range(repetitions):
         stats = RunStats()
-        privacy_amplify(x, seed, r, mode=mode, stats=stats, tile=tile)
+        privacy_amplify(x, seed, r, mode=mode, stats=stats)
         seconds = stats.total_seconds()
         if best is None or seconds < best:
             best, best_stats = seconds, stats
@@ -232,8 +229,8 @@ def cmd_bench(args):
     print("pipeline bench: n=%d r=%d (best of %d)" % (n, r, args.repetitions))
     mode_rows = {}
     for mode in ("A", "B"):
-        _time_mode(x, seed, r, mode, args.tile, 1)  # warm caches
-        seconds, stats = _time_mode(x, seed, r, mode, args.tile, args.repetitions)
+        _time_mode(x, seed, r, mode, 1)  # warm caches
+        seconds, stats = _time_mode(x, seed, r, mode, args.repetitions)
         mode_rows[mode] = (seconds, stats)
         print(
             "  mode %s: %.4f s, %.2f Mbps, %d transposes"
@@ -247,11 +244,11 @@ def cmd_bench(args):
     if args.output:
         merged = dict(report)
         for mode, (seconds, stats) in mode_rows.items():
-            merged["mode_%s_seconds" % mode] = "%.6f" % seconds
-            merged["mode_%s_mbps" % mode] = "%.3f" % (n / seconds / 1e6)
+            merged["mode_%s_seconds" % mode] = seconds
+            merged["mode_%s_mbps" % mode] = n / seconds / 1e6
             merged["mode_%s_transposes" % mode] = stats.transposes
-        write_bench_report(merged, args.output)
-        print("appended key=value report -> %s" % args.output)
+        _append_record(args.output, merged)
+        print("appended JSON record -> %s" % args.output)
     return EXIT_OK
 
 
@@ -282,8 +279,7 @@ def build_parser():
     p.add_argument("--security-bits", type=int, help="security margin s = n-t-r")
     p.add_argument("--mode", choices=("A", "B"), default="B",
                    help="transform schedule (default B)")
-    p.add_argument("--tile", type=int, help="transpose tile side")
-    p.add_argument("--manifest", help="append run parameters to this text file")
+    p.add_argument("--manifest", help="append a JSON line per run to this file")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="check a final key against the direct hash")
@@ -299,10 +295,12 @@ def build_parser():
     p = sub.add_parser("bench", help="time transposes and both pipeline modes")
     p.add_argument("--n", type=int, default=1 << 20,
                    help="transform length (default 1048576)")
-    p.add_argument("--tile", type=int, help="transpose tile side")
+    p.add_argument("--tile", type=int,
+                   help="tile side for the transpose bench and its modeled row "
+                   "spans (default: the model tile); the pipeline runs at its own")
     p.add_argument("--repetitions", type=int, default=3,
                    help="timing repetitions, best-of (default 3)")
-    p.add_argument("--output", help="append a machine-readable key=value report")
+    p.add_argument("--output", help="append a JSON record per bench to this file")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-seed", help="derive a seed file from a master secret")

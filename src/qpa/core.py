@@ -10,6 +10,7 @@ s = n - t - r, and the eavesdropper's expected information about the
 final key is at most 2**-s / ln 2 bits (`leakage_bound`).
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -247,6 +248,7 @@ def final_key_length(n, t, s):
     return n - t - s
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class PaParams:
     """Validated parameter set (n, r, t, s) with s = n - t - r.
 
@@ -255,9 +257,13 @@ class PaParams:
     ``PaParams.from_final_length(n, r, t)`` derives s.
     """
 
-    __slots__ = ("n", "r", "t", "s")
+    n: int
+    r: int
+    t: int
+    s: int
 
-    def __init__(self, n, r, t, s):
+    def __post_init__(self):
+        n, r, t, s = self.n, self.r, self.t, self.s
         for name, v in (("n", n), ("r", r), ("t", t), ("s", s)):
             if not isinstance(v, int):
                 raise ParameterError("%s must be an int, got %r" % (name, v))
@@ -273,13 +279,6 @@ class PaParams:
             raise ParameterError(
                 "inconsistent parameters: s=%d but n-t-r=%d" % (s, n - t - r)
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PaParams is immutable")
 
     @classmethod
     def from_security(cls, n, t, s):
@@ -294,14 +293,6 @@ class PaParams:
     @property
     def leakage(self):
         return leakage_bound(self.s)
-
-    def __eq__(self, other):
-        if not isinstance(other, PaParams):
-            return NotImplemented
-        return (self.n, self.r, self.t, self.s) == (other.n, other.r, other.t, other.s)
-
-    def __repr__(self):
-        return "PaParams(n=%d, r=%d, t=%d, s=%d)" % (self.n, self.r, self.t, self.s)
 
 
 def generate_seed(master_secret, n):

@@ -20,10 +20,10 @@ natural
     Pointwise products are order agnostic, so a convolution can stay in
     the permuted layout end to end and skip four of the six transposes.
 
-With no ``tile`` given, both schedules transpose at min(k, 64), the
-tile measured fastest on a CPU (`qpa.transpose`), not the memory-row
-model's `default_tile(k)`; an explicit ``tile`` wins.  Either way the
-transposes are exact copies, so the tile never changes a result.
+Both schedules transpose with `transpose_blocked` at the tile it picks,
+min(k, 64), measured fastest on a CPU (`qpa.transpose`), not the
+memory-row model's `default_tile(k)`.  The transposes are exact
+copies, so the tile never changes a result.
 
 At n = 2^20 every pass is bound by memory bandwidth, so `fft_small`
 and `real_unpack_spectra` split large work over two threads, the split
@@ -46,7 +46,7 @@ import threading
 import numpy as np
 
 from .errors import ParameterError
-from .transpose import RunStats, _require_tile, transpose_blocked
+from .transpose import RunStats, transpose_blocked
 
 __all__ = [
     "SMALL_SIZES",
@@ -211,35 +211,33 @@ def _as_matrix(x):
     return x.astype(np.complex128).reshape(k, k)
 
 
-def fft2d_natural(x, direction="forward", stats=None, tile=None):
+def fft2d_natural(x, direction="forward", stats=None):
     """Long transform with natural-order input and output.
 
     `fft2d_permuted` between two physical transposes, so three
     transposes per pass, counted in ``stats`` when given.  Equal to the
     plain DFT of ``x`` (inverse: conjugate factors, unscaled).  The
-    direction and the tile are checked before the first transpose.
+    direction is checked before the first transpose.
     """
     a = _as_matrix(x)
     _direction_is_inverse(direction)
-    tile = _require_tile(a.shape[0], tile)
-    a = transpose_blocked(a, tile=tile, stats=stats)
-    a = fft2d_permuted(a.reshape(-1), direction, stats, tile)
-    return transpose_blocked(_as_matrix(a), tile=tile, stats=stats).reshape(-1)
+    a = transpose_blocked(a, stats=stats)
+    a = fft2d_permuted(a.reshape(-1), direction, stats)
+    return transpose_blocked(_as_matrix(a), stats=stats).reshape(-1)
 
 
-def fft2d_permuted(x, direction="forward", stats=None, tile=None):
+def fft2d_permuted(x, direction="forward", stats=None):
     """Long transform that keeps input and output digit-transposed.
 
-    row FFTs, rotation factors, transpose, row FFTs.  The direction and
-    the tile are checked before the first row FFT.
+    row FFTs, rotation factors, transpose, row FFTs.  The direction is
+    checked before the first row FFT.
     """
     a = _as_matrix(x)
     n = a.size
     inverse = _direction_is_inverse(direction)
-    tile = _require_tile(a.shape[0], tile)
     a = fft_small(a, direction)
     a *= rotation_grid(n, inverse)
-    a = transpose_blocked(a, tile=tile, stats=stats)
+    a = transpose_blocked(a, stats=stats)
     a = fft_small(a, direction)
     return a.reshape(n)
 

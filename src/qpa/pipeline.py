@@ -129,7 +129,7 @@ def _gate_residual(residual, n):
         )
 
 
-def convolve(operands, mode="B", stats=None, tile=None):
+def convolve(operands, mode="B", stats=None):
     """Cyclic convolution of the operands on the schedule of ``mode``.
 
     Pack (through the digit-transpose map in mode B), forward
@@ -150,7 +150,7 @@ def convolve(operands, mode="B", stats=None, tile=None):
     # each full-size buffer is dropped once spent, so the next one can
     # reuse its memory
     with _stage(stats, "forward"):
-        z = transform(z, "forward", stats=stats, tile=tile)
+        z = transform(z, "forward", stats=stats)
     with _stage(stats, "unpack"):
         x_hat, v_hat = real_unpack_spectra(z, partner=_partner(n, mode))
     del z
@@ -158,7 +158,7 @@ def convolve(operands, mode="B", stats=None, tile=None):
         s_hat = pointwise_multiply(x_hat, v_hat)
     del x_hat, v_hat
     with _stage(stats, "inverse"):
-        conv = transform(s_hat, "inverse", stats=stats, tile=tile)
+        conv = transform(s_hat, "inverse", stats=stats)
         conv *= 1.0 / n
     return conv
 
@@ -184,7 +184,7 @@ def _partner(n, mode):
     return got
 
 
-def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None):
+def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
     """Distill an r-bit final key from an n-bit input.
 
     Runs `convolve` in ``mode``; in mode B the parity bits, not the
@@ -208,8 +208,6 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
         Smallest acceptable security margin (used only with ``t``).
     stats : RunStats, optional
         Collects transpose counts and per-stage timings.
-    tile : int, optional
-        Tile side for the physical transposes; min(k, 64) when omitted.
 
     Returns
     -------
@@ -239,7 +237,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None, tile=None
 
     with _stage(stats, "build"):
         operands = build_operands(x, seed, r)
-    conv = convolve(operands, mode, stats=stats, tile=tile)
+    conv = convolve(operands, mode, stats=stats)
 
     with _stage(stats, "finalize"):
         # block by block: round, leave the rounding error in the real

@@ -11,8 +11,10 @@ keeps both the reads and the writes inside small groups of memory rows.
 that one-matrix-row-per-memory-row model and counts row-change events,
 so the modeled costs are derived from the trace rather than quoted.
 Its tile, `default_tile(k)`, is not the tile the transposes execute
-with: on a CPU every tile is one Python-level slice copy, so with no
-``tile`` given `transpose_blocked` runs at the measured min(k, 64).
+with: on a CPU every tile is one Python-level slice copy, so
+`transpose_blocked` picks the measured min(k, 64) unless given a tile.
+It is the one place that picks or checks an executed tile; the
+long-transform schedules pass none.
 """
 
 import dataclasses
@@ -31,7 +33,6 @@ __all__ = [
     "simulate_row_spans",
     "bench_transpose",
     "render_bench_report",
-    "write_bench_report",
 ]
 
 
@@ -81,8 +82,8 @@ def default_tile(k):
     """Tile side of the memory-row model (32 at k=1024).
 
     `simulate_row_spans` and `bench_transpose` use it when no tile is
-    given.  The transposes themselves execute at min(k, 64) unless the
-    caller picks a tile (`transpose_blocked`).
+    given.  The schedules' transposes execute at min(k, 64)
+    (`transpose_blocked`).
     """
     return max(4, k // 32)
 
@@ -107,8 +108,10 @@ def transpose_blocked(m, tile=None, stats=None):
     ----------
     m : ndarray, k x k with k a power of two.
     tile : int, optional
-        Tile side; must divide k. Defaults to min(k, 64), the tile
+        Tile side; must divide k.  Defaults to min(k, 64), the tile
         measured fastest on a CPU, not the model's `default_tile(k)`.
+        The long-transform schedules always take the default; an
+        explicit tile is for experiments such as `bench_transpose`.
     stats : RunStats, optional
         Incremented once per call, like `transpose_naive`.
 
@@ -216,8 +219,12 @@ def bench_transpose(k, tile=None, repetitions=3):
     totals.  Gbps uses decimal 1e9; the data size is reported in Mb
     (2**20 bits).  The data is drawn from a fixed seed (17).  With no
     ``tile`` the blocked strategy runs at the model's `default_tile(k)`.
+    The modeled totals come first, so a tile the model rejects fails
+    before any data is made or timed.
     """
-    tile = _require_tile(k, default_tile(k) if tile is None else tile)
+    sim_naive = simulate_row_spans("naive", k)
+    sim_blocked = simulate_row_spans("blocked", k, tile)
+    tile = sim_blocked.tile
     rng = np.random.default_rng(17)
     data = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
 
@@ -227,8 +234,6 @@ def bench_transpose(k, tile=None, repetitions=3):
     naive_s = _best_seconds(lambda: transpose_naive(data), repetitions)
     blocked_s = _best_seconds(lambda: transpose_blocked(data, tile), repetitions)
     bits = k * k * data.itemsize * 8
-    sim_naive = simulate_row_spans("naive", k)
-    sim_blocked = simulate_row_spans("blocked", k, tile)
     return {
         "k": k,
         "tile": tile,
@@ -259,10 +264,3 @@ def render_bench_report(report):
     ]
     return "\n".join(lines)
 
-
-def write_bench_report(report, path):
-    """Append a report as machine-readable key=value lines."""
-    with open(path, "a", encoding="ascii") as fh:
-        for key in sorted(report):
-            fh.write("%s=%s\n" % (key, report[key]))
-        fh.write("\n")

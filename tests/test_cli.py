@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, files, and messages."""
 
+import json
+
 import numpy as np
 import pytest
 
 import qpa.cli as cli
+import qpa.transpose
 from conftest import random_bitvector
 from qpa import (
     ROLE_FINAL,
@@ -79,13 +82,15 @@ def test_run_parameter_mixups(raw_file, tmp_path):
     assert cli.main(base) == 3
     assert cli.main(base + ["--leaked-bits", "28"]) == 3
     assert cli.main(base + ["--final-bits", "0"]) == 3
-    assert cli.main(base + ["--final-bits", "100", "--tile", "3"]) == 3
+    with pytest.raises(SystemExit) as exc:  # the pipeline picks its own tile
+        cli.main(base + ["--final-bits", "100", "--tile", "4"])
+    assert exc.value.code == 2
 
 
 def test_run_appends_manifest(raw_file, tmp_path):
     raw_path, _ = raw_file
     out_path = tmp_path / "final.qpa1"
-    manifest = tmp_path / "runs.txt"
+    manifest = tmp_path / "runs.jsonl"
     for _ in range(2):
         code = cli.main([
             "run", "--input", str(raw_path), "--output", str(out_path),
@@ -95,14 +100,35 @@ def test_run_appends_manifest(raw_file, tmp_path):
         ])
         assert code == 0
     body = manifest.read_text()
-    assert body.count("[run ") == 2
-    assert "n=256" in body
-    assert "r=128" in body
-    assert "s=100" in body
-    assert "mode=B" in body
-    assert "transposes=2" in body
-    assert "residual=" in body
-    assert "seconds_total=" in body
+    assert SECRET not in body.lower()  # key material never appears
+    records = [json.loads(line) for line in body.splitlines()]
+    assert len(records) == 2
+    stages = ("build", "pack", "forward", "unpack", "multiply", "inverse", "finalize")
+    for rec in records:
+        assert rec["n"] == 256 and rec["r"] == 128
+        assert rec["t"] == 28 and rec["s"] == 100
+        assert rec["mode"] == "B"
+        assert rec["transposes"] == 2
+        assert 0 <= rec["residual"] < 0.25
+        assert rec["input"] == str(raw_path) and rec["output"] == str(out_path)
+        assert rec["time"]
+        for stage in stages:
+            assert rec["seconds_%s" % stage] > 0
+        assert rec["seconds_total"] == pytest.approx(
+            sum(rec["seconds_%s" % stage] for stage in stages)
+        )
+
+
+def test_run_manifest_without_security_terms(raw_file, tmp_path):
+    raw_path, _ = raw_file
+    manifest = tmp_path / "runs.jsonl"
+    assert cli.main([
+        "run", "--input", str(raw_path), "--output", str(tmp_path / "f.qpa1"),
+        "--master-secret", SECRET, "--final-bits", "100",
+        "--manifest", str(manifest),
+    ]) == 0
+    (rec,) = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert rec["r"] == 100 and rec["t"] is None and rec["s"] is None
 
 
 def test_run_file_errors(tmp_path):
@@ -308,7 +334,23 @@ def test_params_notes_non_transform_lengths(capsys):
 
 def test_params_infeasible(capsys):
     assert cli.main(["params", "--n", "64", "--leaked-bits", "60"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing printed before the error
+    assert "no feasible margins" in captured.err
     assert cli.main(["params", "--n", "64", "--leaked-bits", "-1"]) == 3
+
+
+def test_params_rejects_bad_margin_range_before_printing(capsys):
+    base = ["params", "--n", "1024", "--leaked-bits", "100"]
+    assert cli.main(base + ["--s-min", "64", "--s-max", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--s-min" in captured.err and "--s-max" in captured.err
+    assert "no feasible margins" not in captured.err
+    assert cli.main(base + ["--s-min", "-8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--s-min" in captured.err
 
 
 def test_params_rejects_non_positive_step(capsys):
@@ -325,10 +367,11 @@ def test_params_rejects_non_positive_step(capsys):
 
 
 def test_bench_smoke(tmp_path, capsys):
-    out_path = tmp_path / "bench.txt"
-    code = cli.main(["bench", "--n", "64", "--repetitions", "1",
-                     "--output", str(out_path)])
-    assert code == 0
+    out_path = tmp_path / "bench.jsonl"
+    for _ in range(2):  # the second call appends a second record
+        code = cli.main(["bench", "--n", "64", "--repetitions", "1",
+                         "--output", str(out_path)])
+        assert code == 0
     out = capsys.readouterr().out
     assert "transpose bench: k=8" in out
     assert "modeled row spans naive" in out
@@ -336,10 +379,31 @@ def test_bench_smoke(tmp_path, capsys):
     assert "speedup" in out
     for stage in ("build", "pack", "forward", "unpack", "multiply", "inverse"):
         assert out.count("%s " % stage) >= 2  # one row per stage per mode
-    body = out_path.read_text()
-    assert "mode_A_seconds=" in body
-    assert "mode_B_transposes=2" in body
-    assert "naive_row_spans=72" in body  # 8 + 8*8
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(records) == 2
+    for rec in records:
+        assert rec["naive_row_spans"] == 72  # 8 + 8*8
+        assert rec["mode_A_transposes"] == 6
+        assert rec["mode_B_transposes"] == 2
+        assert rec["mode_A_seconds"] > 0 and rec["mode_B_mbps"] > 0
+        assert rec["naive_gbps"] > 0 and rec["k"] == 8
+
+
+def test_bench_rejects_bad_tile_before_timing(capsys, monkeypatch):
+    calls = []
+    transpose_naive = qpa.transpose.transpose_naive
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transpose_naive(*args, **kwargs)
+
+    monkeypatch.setattr(qpa.transpose, "transpose_naive", counted)
+    for tile in ("1", "3"):  # below the model's minimum; not a divisor of k = 8
+        assert cli.main(["bench", "--n", "64", "--tile", tile]) == 3
+        captured = capsys.readouterr()
+        assert "tile" in captured.err
+        assert "transpose bench" not in captured.out
+    assert calls == []
 
 
 def test_bench_rejects_non_positive_repetitions(capsys):

@@ -21,7 +21,7 @@ from qpa import (
 from qpa.fft import digit_transpose
 from qpa.oracle import hash_direct
 from qpa.pipeline import MODES, RESIDUAL_LIMIT, _gate_residual, convolve
-from qpa.transpose import default_tile
+from qpa.transpose import _require_tile, default_tile, transpose_blocked
 
 # --------------------------------------------------------------------------
 # operand embedding
@@ -284,50 +284,16 @@ def test_run_stats():
     assert stats.transposes == 2
 
 
-def test_explicit_tile_changes_nothing():
-    rng = np.random.default_rng(61)
-    n = 256  # k = 16
-    x = random_bitvector(rng, n)
-    seed = random_seed(rng, n)
-    base = privacy_amplify(x, seed, 90)
-    for tile in (2, 8, 16):
-        for mode in ("A", "B"):
-            assert privacy_amplify(x, seed, 90, mode=mode, tile=tile).bits == base.bits
-    with pytest.raises(ParameterError):
-        privacy_amplify(x, seed, 90, tile=3)
-
-
-def test_bad_tile_fails_before_any_row_transform(monkeypatch):
-    rng = np.random.default_rng(62)
-    n = 256  # k = 16; tile 3 does not divide it
-    x = random_bitvector(rng, n)
-    seed = random_seed(rng, n)
-    calls = []
-    fft_small = qpa.fft.fft_small
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fft_small(*args, **kwargs)
-
-    monkeypatch.setattr(qpa.fft, "fft_small", counted)
-    for mode in MODES:
-        with pytest.raises(ParameterError):
-            privacy_amplify(x, seed, 90, mode=mode, tile=3)
-    assert calls == []
-
-
 def test_schedules_transpose_at_the_executed_tile(monkeypatch):
     # the executed tile is min(k, 64), not the row-span model's
-    # default_tile(k); an explicit tile is passed through unchanged.
-    # Only the counted transposes are recorded: digit_transpose runs
-    # the same copy without stats.
+    # default_tile(k).  Only the counted transposes are recorded:
+    # digit_transpose runs the same copy without stats.
     rng = np.random.default_rng(64)
     tiles = []
-    transpose_blocked = qpa.fft.transpose_blocked
 
     def recorded(m, tile=None, stats=None):
         if stats is not None:
-            tiles.append(tile)
+            tiles.append(_require_tile(m.shape[0], tile))
         return transpose_blocked(m, tile=tile, stats=stats)
 
     monkeypatch.setattr(qpa.fft, "transpose_blocked", recorded)
@@ -336,13 +302,24 @@ def test_schedules_transpose_at_the_executed_tile(monkeypatch):
         x = random_bitvector(rng, n)
         seed = random_seed(rng, n)
         for mode, count in (("A", 6), ("B", 2)):
-            for tile, want in ((None, min(k, 64)), (4, 4), (k, k)):
-                tiles.clear()
-                privacy_amplify(x, seed, n // 2, mode=mode, stats=RunStats(), tile=tile)
-                assert tiles == [want] * count
+            tiles.clear()
+            privacy_amplify(x, seed, n // 2, mode=mode, stats=RunStats())
+            assert tiles == [min(k, 64)] * count
 
 
-def test_keys_do_not_depend_on_the_tile():
+def _force_tile(monkeypatch, tile_of):
+    """Make every transpose in qpa.fft run at tile_of(k); return the tiles run."""
+    ran = []
+
+    def forced(m, tile=None, stats=None):
+        ran.append(tile_of(m.shape[0]))
+        return transpose_blocked(m, tile=ran[-1], stats=stats)
+
+    monkeypatch.setattr(qpa.fft, "transpose_blocked", forced)
+    return ran
+
+
+def test_keys_do_not_depend_on_the_tile(monkeypatch):
     rng = np.random.default_rng(65)
     for p in range(3, 10):
         k = 1 << p
@@ -352,10 +329,15 @@ def test_keys_do_not_depend_on_the_tile():
         r = int(rng.integers(1, n))
         for mode in MODES:
             key = privacy_amplify(x, seed, r, mode=mode).bits
-            for tile in (default_tile(k), k):
-                assert privacy_amplify(x, seed, r, mode=mode, tile=tile).bits == key
+            for tile_of in (default_tile, lambda side: side):
+                with monkeypatch.context() as m:
+                    ran = _force_tile(m, tile_of)
+                    assert privacy_amplify(x, seed, r, mode=mode).bits == key
+                assert ran and set(ran) == {tile_of(k)}
     n = 1 << 20
     x = random_bitvector(rng, n)
     seed = random_seed(rng, n)
     key = privacy_amplify(x, seed, n // 2, mode="B").bits
-    assert privacy_amplify(x, seed, n // 2, mode="B", tile=default_tile(1024)).bits == key
+    ran = _force_tile(monkeypatch, default_tile)
+    assert privacy_amplify(x, seed, n // 2, mode="B").bits == key
+    assert ran and set(ran) == {default_tile(1024)}

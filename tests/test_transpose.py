@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qpa.transpose
 from qpa import ParameterError
 from qpa.transpose import (
     AccessCostReport,
@@ -13,7 +14,6 @@ from qpa.transpose import (
     simulate_row_spans,
     transpose_blocked,
     transpose_naive,
-    write_bench_report,
 )
 
 # --------------------------------------------------------------------------
@@ -143,18 +143,23 @@ def test_bench_transpose_smoke():
     assert report["blocked_row_spans"] == 2 * 4 * 64
 
 
-def test_render_and_write_report(tmp_path):
+def test_render_report():
     report = bench_transpose(32, repetitions=1)
     text = render_bench_report(report)
     assert "naive" in text and "blocked" in text
     assert "row spans" in text
+    assert format(report["naive_row_spans"], ",") in text
 
-    path = tmp_path / "bench.txt"
-    write_bench_report(report, path)
-    write_bench_report(report, path)  # appends a second block
-    body = path.read_text()
-    assert body.count("naive_gbps=") == 2
-    fields = dict(
-        line.split("=", 1) for line in body.splitlines() if "=" in line
-    )
-    assert int(fields["naive_row_spans"]) == 32 + 32 * 32
+
+def test_bench_rejects_bad_tile_before_any_copy(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transpose_naive(*args, **kwargs)
+
+    monkeypatch.setattr(qpa.transpose, "transpose_naive", counted)
+    for tile in (1, 3):  # below the model's minimum; not a divisor of 64
+        with pytest.raises(ParameterError):
+            bench_transpose(64, tile=tile)
+    assert calls == []
