@@ -24,18 +24,18 @@ from .core import (
     ROLE_RAW,
     ROLE_SEED,
     BitVector,
+    PaParams,
     ToeplitzSeed,
-    final_key_length,
     generate_seed,
     leakage_bound,
     read_bits,
     write_bits,
 )
 from .errors import FormatError, ParameterError, PrecisionError
-from .fft import is_supported_length, matrix_side, supported_lengths
+from .fft import is_supported_length, matrix_side
 from .oracle import hash_direct, hash_single_bit
 from .pipeline import RunStats, privacy_amplify
-from .transpose import bench_transpose, render_bench_report, simulate_row_spans
+from .transpose import bench_transpose, render_bench_report
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -80,8 +80,8 @@ def _resolve_r(args, n):
         )
     if given_r:
         return args.final_bits, None, None
-    r = final_key_length(n, args.leaked_bits, args.security_bits)
-    return r, args.leaked_bits, args.security_bits
+    params = PaParams.from_security(n, args.leaked_bits, args.security_bits)
+    return params.r, params.t, params.s
 
 
 def _append_record(path, record):
@@ -157,11 +157,7 @@ def cmd_verify(args):
 
 
 def cmd_gen_seed(args):
-    if not is_supported_length(args.n):
-        raise ParameterError(
-            "n=%d is not a supported transform length %s"
-            % (args.n, list(supported_lengths()))
-        )
+    matrix_side(args.n)
     seed = generate_seed(_parse_secret(args.master_secret), args.n)
     write_bits(seed.bits, args.output, ROLE_SEED)
     print("wrote %d seed bits for n=%d -> %s" % (seed.bits.length, args.n, args.output))
@@ -174,9 +170,9 @@ def cmd_params(args):
         raise ParameterError("leaked bits must be non-negative")
     if args.s_step < 1:
         raise ParameterError("--s-step must be at least 1, got %d" % args.s_step)
-    if not 0 <= args.s_min <= args.s_max:
+    if not 1 <= args.s_min <= args.s_max:
         raise ParameterError(
-            "margin range needs 0 <= --s-min <= --s-max, got --s-min %d --s-max %d"
+            "margin range needs 1 <= --s-min <= --s-max, got --s-min %d --s-max %d"
             % (args.s_min, args.s_max)
         )
     if n - t - args.s_min < 1:
@@ -215,11 +211,12 @@ def cmd_bench(args):
     report = bench_transpose(k, tile=args.tile, repetitions=args.repetitions)
     print(render_bench_report(report))
     for strategy in ("naive", "blocked"):
-        sim = simulate_row_spans(strategy, k, None if strategy == "naive" else report["tile"])
         print(
             "modeled row spans %-8s k=%d: write %s + read %s = %s"
-            % (strategy, k, format(sim.write_events, ","),
-               format(sim.read_events, ","), format(sim.total, ","))
+            % (strategy, k,
+               format(report[strategy + "_row_span_writes"], ","),
+               format(report[strategy + "_row_span_reads"], ","),
+               format(report[strategy + "_row_spans"], ","))
         )
 
     rng = np.random.default_rng(7)

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .fft import is_supported_length
+from .fft import matrix_side
 
 __all__ = [
     "WORD_BITS",
@@ -267,8 +267,7 @@ class PaParams:
         for name, v in (("n", n), ("r", r), ("t", t), ("s", s)):
             if not isinstance(v, int):
                 raise ParameterError("%s must be an int, got %r" % (name, v))
-        if not is_supported_length(n):
-            raise ParameterError("n=%r is not a supported transform length" % (n,))
+        matrix_side(n)
         if not 0 < r < n:
             raise ParameterError("r=%d must satisfy 0 < r < n=%d" % (r, n))
         if t < 0:

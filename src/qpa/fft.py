@@ -94,7 +94,11 @@ def is_supported_length(n):
 
 
 def matrix_side(n):
-    """Side k of the k x k layout for a supported length n."""
+    """Side k of the k x k layout for a supported length n.
+
+    Raises `ParameterError` for any other n; this is the one
+    supported-length check, so callers also call it just to validate.
+    """
     if not is_supported_length(n):
         raise ParameterError(
             "unsupported transform length %r (expected k*k, k a power of "
@@ -277,7 +281,7 @@ def real_pack(x, v):
     return packed
 
 
-def real_unpack_spectra(z_hat, partner=None):
+def real_unpack_spectra(z_hat, permuted=False):
     """Split the transform of a packed pair into the two real spectra.
 
     For Z = FFT(x + i*v) with real x, v:
@@ -285,13 +289,15 @@ def real_unpack_spectra(z_hat, partner=None):
         X(f) = (Z(f) + conj(Z(n-f))) / 2
         V(f) = (Z(f) - conj(Z(n-f))) / (2i)
 
-    indices mod n.  ``partner`` overrides the f -> n-f pairing for
-    buffers whose entries are stored in a permuted order: pass the
-    index map p with p[m] = position of the partner of the frequency
-    stored at m (for digit-transposed buffers, ``D[(n - D) % n]``).
-    The zero-frequency slot is self-paired, so X and V are exactly real
-    there.  The work runs in cache-sized blocks, on two threads for
-    large buffers.
+    indices mod n.  ``z_hat`` is in natural order, or digit-transposed
+    (as `fft2d_permuted` leaves it) when ``permuted`` is true.  In both
+    layouts the slot holding n-f follows from the slot m holding f with
+    a head length h (1 in natural order, k when digit-transposed): slot
+    0 pairs with itself, slot m < h with h - m, and slot m >= h with
+    n + h - 1 - m.  So past the head the mirrors are the same range read
+    in reverse, and no index map is built.  X and V are exactly real at
+    the zero frequency.  The work runs in cache-sized blocks, on two
+    threads for large buffers.
 
     Returns
     -------
@@ -301,26 +307,25 @@ def real_unpack_spectra(z_hat, partner=None):
     if z_hat.ndim != 1:
         raise ParameterError("expected a 1-D spectrum, got shape %r" % (z_hat.shape,))
     n = z_hat.shape[0]
-    if partner is None:
-        partner = (n - np.arange(n)) % n
-    else:
-        partner = np.asarray(partner)
-        if partner.shape != (n,):
-            raise ParameterError("partner map must have shape (%d,)" % n)
+    h = matrix_side(n) if permuted else 1
     x_hat = np.empty_like(z_hat)
     v_hat = np.empty_like(z_hat)
 
-    def split(lo, hi):
-        for start in range(lo, hi, _BLOCK):
-            b = slice(start, min(start + _BLOCK, hi))
-            mirrored = np.take(z_hat, partner[b])
-            np.conjugate(mirrored, out=mirrored)
-            np.add(z_hat[b], mirrored, out=x_hat[b])
-            x_hat[b] *= 0.5
-            np.subtract(z_hat[b], mirrored, out=v_hat[b])
-            v_hat[b] *= -0.5j
+    def combine(b, mirrored):
+        # mirrored holds conj(Z) at the mirror slot of each slot in b
+        np.add(z_hat[b], mirrored, out=x_hat[b])
+        x_hat[b] *= 0.5
+        np.subtract(z_hat[b], mirrored, out=v_hat[b])
+        v_hat[b] *= -0.5j
 
-    _in_halves(split, n, n)
+    combine(slice(0, h), np.conjugate(np.concatenate((z_hat[:1], z_hat[h - 1:0:-1]))))
+
+    def split(lo, hi):
+        for start in range(h + lo, h + hi, _BLOCK):
+            stop = min(start + _BLOCK, h + hi)
+            combine(slice(start, stop), np.conjugate(z_hat[n + h - stop:n + h - start][::-1]))
+
+    _in_halves(split, n - h, n)
     return x_hat, v_hat
 
 

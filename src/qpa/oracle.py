@@ -75,19 +75,19 @@ def hash_direct(x, seed, r):
 
     block_parity = np.empty(r, dtype=np.uint8)
     rows_per_chunk = max(1, _CHUNK_BYTES // width)
+    # one buffer serves every chunk, so no chunk-sized temporary is
+    # allocated (and paged in) per chunk
+    chunk = np.empty((min(rows_per_chunk, (r + 7) // 8), width), dtype=np.uint8)
     for s in range(8):
-        # windows starting at bit offsets o = s, s+8, ... below r
-        starts = np.arange(s, r, 8)
-        if not starts.size:
-            continue
-        rows = r - 1 - starts
+        # windows starting at bit offsets o = s, s+8, ... below r; the
+        # j-th starts at byte j of copy s, so a run of them is a slice
+        rows = r - 1 - np.arange(s, r, 8)
         windows = sliding_window_view(copies[s], width)
-        byte_starts = starts >> 3
-        for lo in range(0, starts.size, rows_per_chunk):
-            sel = slice(lo, lo + rows_per_chunk)
-            masked = windows[byte_starts[sel]] & tail_packed
+        for lo in range(0, rows.size, rows_per_chunk):
+            hi = min(lo + rows_per_chunk, rows.size)
+            masked = np.bitwise_and(windows[lo:hi], tail_packed, out=chunk[:hi - lo])
             folded = np.bitwise_xor.reduce(masked, axis=1)
-            block_parity[rows[sel]] = _PARITY[folded]
+            block_parity[rows[lo:hi]] = _PARITY[folded]
     return BitVector.from_bits(head ^ block_parity)
 
 

@@ -23,10 +23,11 @@ mode "A"
 mode "B"
     digit-transposed order (`fft2d_permuted`, two physical
     transposes).  The packed operands are loaded through the
-    digit-transpose map, the spectra are split with the partner map of
-    that layout, and the result stays in it.  `privacy_amplify` stores
-    the parity bits back through the same map, a reorder of n bytes
-    instead of four matrix transposes of n complex values.
+    digit-transpose map, the spectra are split with that layout's
+    closed-form mirror rule (`real_unpack_spectra`), and the result
+    stays in it.  `privacy_amplify` stores the parity bits back through
+    the same map, a reorder of n bytes instead of four matrix
+    transposes of n complex values.
 
 Both modes give identical keys.  Values are rounded to integers at the
 end; the largest distance from an integer (the residual) is checked
@@ -34,20 +35,19 @@ against ``RESIDUAL_LIMIT`` on every run and reported in `FinalKey`.
 """
 
 import dataclasses
-import functools
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
-from .core import BitVector, ToeplitzSeed, check_hash_inputs
+from .core import BitVector, PaParams, ToeplitzSeed, check_hash_inputs
 from .errors import ParameterError, PrecisionError
 from .fft import (
     _BLOCK,
     digit_transpose,
     fft2d_natural,
     fft2d_permuted,
-    is_supported_length,
+    matrix_side,
     pointwise_multiply,
     real_pack,
     real_unpack_spectra,
@@ -133,9 +133,9 @@ def convolve(operands, mode="B", stats=None):
     """Cyclic convolution of the operands on the schedule of ``mode``.
 
     Pack (through the digit-transpose map in mode B), forward
-    transform, spectrum split with the layout's partner map, multiply,
-    inverse with the 1/n scale.  The result stays in the layout's
-    physical order, so ``digit_transpose(convolve(ops, "B"))`` equals
+    transform, spectrum split in the layout's order, multiply, inverse
+    with the 1/n scale.  The result stays in the layout's physical
+    order, so ``digit_transpose(convolve(ops, "B"))`` equals
     ``convolve(ops, "A")``.  An unsupported length raises
     `ParameterError` before any row transform runs.
     """
@@ -152,7 +152,7 @@ def convolve(operands, mode="B", stats=None):
     with _stage(stats, "forward"):
         z = transform(z, "forward", stats=stats)
     with _stage(stats, "unpack"):
-        x_hat, v_hat = real_unpack_spectra(z, partner=_partner(n, mode))
+        x_hat, v_hat = real_unpack_spectra(z, permuted=mode == "B")
     del z
     with _stage(stats, "multiply"):
         s_hat = pointwise_multiply(x_hat, v_hat)
@@ -164,24 +164,6 @@ def convolve(operands, mode="B", stats=None):
 
 
 run_mode_b_schedule = convolve
-
-
-@functools.lru_cache(maxsize=None)
-def _partner(n, mode):
-    """Slot of the mirror frequency n-f for every slot, cached and read-only.
-
-    In natural order slot m holds frequency m, so its partner is
-    (n - m) mod n.  In digit-transposed order slot m holds f = D[m],
-    with D = ``digit_transpose(arange(n))``; its mirror sits at slot
-    D[(n - D[m]) mod n] because D is an involution.
-    """
-    if mode == "A":
-        got = (n - np.arange(n)) % n
-    else:
-        d = digit_transpose(np.arange(n))
-        got = d[(n - d) % n]
-    got.flags.writeable = False
-    return got
 
 
 def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
@@ -203,7 +185,8 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
         Transform schedule; identical output either way.
     t : int, optional
         Bits assumed leaked.  When given, the security margin
-        n - t - r is checked against ``s_min`` before any work happens.
+        n - t - r is derived by `PaParams` (which requires at least 1)
+        and checked against ``s_min`` before any work happens.
     s_min : int
         Smallest acceptable security margin (used only with ``t``).
     stats : RunStats, optional
@@ -217,19 +200,16 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
     Raises
     ------
     ParameterError
-        Bad sizes, or a security margin below ``s_min``.
+        Bad sizes, or a security margin below 1 or below ``s_min``.
     PrecisionError
         Rounding residual at or above ``RESIDUAL_LIMIT``.
     """
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
     n = check_hash_inputs(x, seed, r)
-    if not is_supported_length(n):
-        raise ParameterError("n=%r is not a supported transform length" % (n,))
+    matrix_side(n)
     if t is not None:
-        if not isinstance(t, int) or t < 0:
-            raise ParameterError("leaked bits t=%r must be a non-negative int" % (t,))
-        margin = n - t - r
+        margin = PaParams.from_final_length(n, r, t).s
         if margin < s_min:
             raise ParameterError(
                 "security margin n-t-r = %d is below the minimum %d" % (margin, s_min)
@@ -282,8 +262,7 @@ def precision_profile(lengths, random_instances=3, mode="A", rng=None):
         rng = np.random.default_rng(2024)
     rows = []
     for n in lengths:
-        if not is_supported_length(n):
-            raise ParameterError("n=%r is not a supported transform length" % (n,))
+        matrix_side(n)
         ones_x = BitVector.from_bits(np.ones(n, dtype=np.uint8))
         ones_seed = ToeplitzSeed(BitVector.from_bits(np.ones(n - 1, dtype=np.uint8)))
         worst_ones = privacy_amplify(ones_x, ones_seed, n // 2, mode=mode).residual

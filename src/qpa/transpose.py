@@ -215,10 +215,11 @@ def bench_transpose(k, tile=None, repetitions=3):
     """Wall-clock both strategies on identical complex128 data.
 
     Checks the two outputs for equality before timing, then reports
-    best-of-`repetitions` throughput alongside the modeled row-span
-    totals.  Gbps uses decimal 1e9; the data size is reported in Mb
-    (2**20 bits).  The data is drawn from a fixed seed (17).  With no
-    ``tile`` the blocked strategy runs at the model's `default_tile(k)`.
+    best-of-`repetitions` throughput alongside the modeled row spans,
+    as totals and as write and read counts.  Gbps uses decimal 1e9; the
+    data size is reported in Mb (2**20 bits).  The data is drawn from a
+    fixed seed (17).  With no ``tile`` the blocked strategy runs at the
+    model's `default_tile(k)`.
     The modeled totals come first, so a tile the model rejects fails
     before any data is made or timed.
     """
@@ -246,6 +247,10 @@ def bench_transpose(k, tile=None, repetitions=3):
         "blocked_gbps": bits / blocked_s / 1e9,
         "naive_row_spans": sim_naive.total,
         "blocked_row_spans": sim_blocked.total,
+        "naive_row_span_writes": sim_naive.write_events,
+        "naive_row_span_reads": sim_naive.read_events,
+        "blocked_row_span_writes": sim_blocked.write_events,
+        "blocked_row_span_reads": sim_blocked.read_events,
     }
 
 

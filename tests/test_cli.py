@@ -72,6 +72,18 @@ def test_run_derives_r_from_security_terms(raw_file, tmp_path):
     assert read_bits(out_path).length == 256 - 28 - 100
 
 
+def test_run_rejects_margin_below_one(raw_file, tmp_path, capsys):
+    raw_path, _ = raw_file
+    out_path = tmp_path / "final.qpa1"
+    code = cli.main([
+        "run", "--input", str(raw_path), "--output", str(out_path),
+        "--master-secret", SECRET, "--leaked-bits", "28", "--security-bits", "0",
+    ])
+    assert code == 3
+    assert "at least 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_parameter_mixups(raw_file, tmp_path):
     raw_path, _ = raw_file
     out = str(tmp_path / "final.qpa1")
@@ -347,10 +359,11 @@ def test_params_rejects_bad_margin_range_before_printing(capsys):
     assert captured.out == ""
     assert "--s-min" in captured.err and "--s-max" in captured.err
     assert "no feasible margins" not in captured.err
-    assert cli.main(base + ["--s-min", "-8"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--s-min" in captured.err
+    for s_min in ("-8", "0"):  # qpa run accepts no margin below 1
+        assert cli.main(base + ["--s-min", s_min]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--s-min" in captured.err
 
 
 def test_params_rejects_non_positive_step(capsys):
@@ -387,6 +400,25 @@ def test_bench_smoke(tmp_path, capsys):
         assert rec["mode_B_transposes"] == 2
         assert rec["mode_A_seconds"] > 0 and rec["mode_B_mbps"] > 0
         assert rec["naive_gbps"] > 0 and rec["k"] == 8
+
+
+def test_bench_models_row_spans_once_per_strategy(capsys, monkeypatch):
+    calls = []
+    simulate = qpa.transpose.simulate_row_spans
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(qpa.transpose, "simulate_row_spans", counted)
+    # a name the CLI imported for itself would be counted too
+    monkeypatch.setattr(cli, "simulate_row_spans", counted, raising=False)
+    assert cli.main(["bench", "--n", "4096", "--repetitions", "1"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(calls) == ["blocked", "naive"]
+    # k = 64 at the model tile 4: 64 + 64*64 naive, 2 * 4 * 64 blocked
+    assert "naive    k=64: write 64 + read 4,096 = 4,160" in out
+    assert "blocked  k=64: write 256 + read 256 = 512" in out
 
 
 def test_bench_rejects_bad_tile_before_timing(capsys, monkeypatch):

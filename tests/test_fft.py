@@ -311,24 +311,38 @@ def test_unpacked_zero_frequency_is_exactly_real():
     assert v_hat[0].imag == 0.0
 
 
-def test_unpack_partner_override_handles_permuted_layout():
+def test_unpack_handles_permuted_layout():
     rng = np.random.default_rng(32)
     n = 256
     d = digit_transpose(np.arange(n))
-    partner = d[(n - d) % n]
     x = rng.standard_normal(n)
     v = rng.standard_normal(n)
     z_hat = fft2d_permuted(digit_transpose(real_pack(x, v)))
-    x_hat, v_hat = real_unpack_spectra(z_hat, partner=partner)
+    x_hat, v_hat = real_unpack_spectra(z_hat, permuted=True)
     assert np.abs(x_hat[d] - fft2d_natural(x)).max() < 1e-9
     assert np.abs(v_hat[d] - fft2d_natural(v)).max() < 1e-9
+
+
+def test_unpack_mirror_matches_index_map_split():
+    # the reversed-slice mirror against a gather through explicit index
+    # maps, at every supported length (2^18 and 2^20 split on two threads)
+    rng = np.random.default_rng(33)
+    for n in supported_lengths():
+        z_hat = random_complex(rng, n)
+        d = digit_transpose(np.arange(n))
+        for permuted, partner in ((False, (n - np.arange(n)) % n), (True, d[(n - d) % n])):
+            mirrored = np.conjugate(z_hat[partner])
+            x_hat, v_hat = real_unpack_spectra(z_hat, permuted=permuted)
+            assert np.array_equal(x_hat, (z_hat + mirrored) * 0.5), (n, permuted)
+            assert np.array_equal(v_hat, (z_hat - mirrored) * -0.5j), (n, permuted)
+            del mirrored, x_hat, v_hat
 
 
 def test_unpack_validation():
     with pytest.raises(ParameterError):
         real_unpack_spectra(np.zeros((8, 8), dtype=np.complex128))
-    with pytest.raises(ParameterError):
-        real_unpack_spectra(np.zeros(8, dtype=np.complex128), partner=np.arange(7))
+    with pytest.raises(ParameterError):  # no k x k layout to be permuted in
+        real_unpack_spectra(np.zeros(128, dtype=np.complex128), permuted=True)
 
 
 def test_pointwise_multiply():

@@ -57,6 +57,19 @@ def test_hash_direct_awkward_offsets():
         )
 
 
+def test_hash_direct_small_chunks(monkeypatch):
+    # chunks of a few rows force every group through several chunks,
+    # the last one short
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 40)
+    rng = np.random.default_rng(12)
+    for n, r in ((64, 40), (200, 77), (256, 255)):
+        x = random_bitvector(rng, n)
+        seed = random_seed(rng, n)
+        assert np.array_equal(
+            hash_direct(x, seed, r).to_bits(), brute_force_hash(x, seed, r)
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 48))
 def test_hash_is_linear_in_x(state, n):

@@ -243,6 +243,18 @@ def test_security_margin_check():
     privacy_amplify(x, seed, 63)
 
 
+def test_margin_below_one_is_rejected_whatever_s_min():
+    rng = np.random.default_rng(60)
+    n = 256
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    # n - t - r = 256 - 10 - 250 = -4, and 256 - 10 - 246 = 0
+    for r, s_min in ((250, -10), (246, 0)):
+        with pytest.raises(ParameterError, match="at least 1"):
+            privacy_amplify(x, seed, r, t=10, s_min=s_min)
+    assert privacy_amplify(x, seed, 245, t=10, s_min=0).bits.length == 245
+
+
 def test_pipeline_validation():
     rng = np.random.default_rng(59)
     x = random_bitvector(rng, 64)
