@@ -79,9 +79,6 @@ _BLOCK = 1 << 16
 _SPLIT_POINTS = 1 << 18
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 _SPLIT = (_CPUS or 1) > 1
-# numpy 2 writes a transform into a given buffer; with numpy 1 each half
-# is copied into place, one more pass over it
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def supported_lengths():
@@ -152,26 +149,17 @@ def fft_small(buf, direction="forward"):
         raise ParameterError(
             "transform length %r not supported (power of two in [8, 4096])" % (m,)
         )
-    # norm="forward" leaves the inverse unscaled; numpy returns a fresh array
+    # norm="forward" leaves the inverse unscaled
     kernel = np.fft.ifft if inverse else np.fft.fft
     norm = "forward" if inverse else "backward"
     rows = a.reshape(-1, m)
-    if not _two_threads(rows.shape[0], a.size):
-        return kernel(a, axis=-1, norm=norm)
     out = np.empty_like(rows)
 
-    def half(lo, hi):
-        if _FFT_OUT:
-            kernel(rows[lo:hi], axis=-1, norm=norm, out=out[lo:hi])
-        else:
-            out[lo:hi] = kernel(rows[lo:hi], axis=-1, norm=norm)
+    def part(lo, hi):
+        kernel(rows[lo:hi], axis=-1, norm=norm, out=out[lo:hi])
 
-    _in_halves(half, rows.shape[0], a.size)
+    _in_halves(part, rows.shape[0], a.size)
     return out.reshape(a.shape)
-
-
-def _two_threads(count, points):
-    return _SPLIT and points >= _SPLIT_POINTS and count >= 2
 
 
 def _in_halves(fn, count, points):
@@ -181,7 +169,7 @@ def _in_halves(fn, count, points):
     first half runs on a helper thread while this one does the second;
     a failure in either is raised here.
     """
-    if not _two_threads(count, points):
+    if not (_SPLIT and points >= _SPLIT_POINTS and count >= 2):
         fn(0, count)
         return
     h = count // 2

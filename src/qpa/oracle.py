@@ -6,6 +6,11 @@ the n-1 seed bits.  Output bit i is
 
     y[i] = x[i] XOR parity( T[i][:] AND x[r:] )
 
+`hash_direct` packs the seed once at each of its 8 bit shifts into one
+table: row i reads the seed from offset o = r-1-i, and for o = 8j + s
+that window starts at byte j of table row s.  So every row of a shift
+class s is a byte-aligned window, and a run of them is one slice.
+
 Everything here is plain bit arithmetic over packed bytes; the FFT
 pipeline is checked against these functions bit for bit, and they in
 turn are checked against a per-bit triple loop in the tests.  Inputs
@@ -34,26 +39,16 @@ _CHUNK_BYTES = 1 << 25
 _ROW_CHUNK_BITS = 1 << 16
 
 
-def _shifted_seed_bytes(seed_bits, pad_bytes):
-    """The seed bitstream packed at all 8 bit offsets.
-
-    Copy s drops the first s bits before packing, so the window of bits
-    [o, o+L) starts exactly at byte o >> 3 of copy o & 7.
-    """
-    copies = []
-    for s in range(8):
-        packed = np.packbits(seed_bits[s:], bitorder="little")
-        copies.append(np.pad(packed, (0, pad_bytes)))
-    return copies
-
-
 def hash_direct(x, seed, r):
     """Hash an n-bit input down to r bits, materializing no matrix.
 
-    Rows are processed in groups that share a bit offset into the seed
-    stream, so each group is a byte-aligned windowed AND + parity over
-    packed words.  Time O(n*r / 8), peak extra memory about
-    ``_CHUNK_BYTES``.
+    Row i reads the seed window at offset ``o = r-1-i = 8j + s``: as
+    many bytes as the packed tail, from byte j of row s of the shifted
+    seed table.  Each shift class s is a run of such windows, ANDed
+    with the packed tail and folded to parities in chunks; the parities go to column s of a
+    ``(groups, 8)`` table, whose flat index is o, so the block parity
+    is that table read backwards.  Time O(n*r / 8); peak extra memory
+    at most ``_CHUNK_BYTES + 6*n`` bytes.
 
     Parameters
     ----------
@@ -67,28 +62,33 @@ def hash_direct(x, seed, r):
     """
     n = check_hash_inputs(x, seed, r)
     xbits = x.to_bits()
-    head = xbits[:r]
     tail_packed = np.packbits(xbits[r:], bitorder="little")
     width = tail_packed.size
-    seed_bits = seed.bits.to_bits()
-    copies = _shifted_seed_bytes(seed_bits, pad_bytes=width + 1)
+    groups = (r + 7) // 8
+    # byte j of row s of `shifted` packs seed bits 8j+s .. 8j+s+7; the
+    # zero bits past the seed only ever meet the tail's zero pad bits
+    nbytes = groups - 1 + width
+    padded = np.zeros(8 * nbytes + 7, dtype=np.uint8)
+    padded[:n - 1] = seed.bits.to_bits()
+    shifted = np.packbits(
+        sliding_window_view(padded, 8 * nbytes)[:8], axis=1, bitorder="little"
+    )
+    del padded
+    windows = sliding_window_view(shifted, width, axis=1)
 
-    block_parity = np.empty(r, dtype=np.uint8)
+    # entries at offsets >= r are never written and never read
+    table = np.empty((groups, 8), dtype=np.uint8)
     rows_per_chunk = max(1, _CHUNK_BYTES // width)
     # one buffer serves every chunk, so no chunk-sized temporary is
     # allocated (and paged in) per chunk
-    chunk = np.empty((min(rows_per_chunk, (r + 7) // 8), width), dtype=np.uint8)
+    chunk = np.empty((min(rows_per_chunk, groups), width), dtype=np.uint8)
     for s in range(8):
-        # windows starting at bit offsets o = s, s+8, ... below r; the
-        # j-th starts at byte j of copy s, so a run of them is a slice
-        rows = r - 1 - np.arange(s, r, 8)
-        windows = sliding_window_view(copies[s], width)
-        for lo in range(0, rows.size, rows_per_chunk):
-            hi = min(lo + rows_per_chunk, rows.size)
-            masked = np.bitwise_and(windows[lo:hi], tail_packed, out=chunk[:hi - lo])
-            folded = np.bitwise_xor.reduce(masked, axis=1)
-            block_parity[rows[lo:hi]] = _PARITY[folded]
-    return BitVector.from_bits(head ^ block_parity)
+        count = (r - s + 7) // 8
+        for lo in range(0, count, rows_per_chunk):
+            hi = min(lo + rows_per_chunk, count)
+            masked = np.bitwise_and(windows[s, lo:hi], tail_packed, out=chunk[:hi - lo])
+            table[lo:hi, s] = _PARITY[np.bitwise_xor.reduce(masked, axis=1)]
+    return BitVector.from_bits(xbits[:r] ^ table.reshape(-1)[r - 1::-1])
 
 
 def hash_single_bit(x, seed, r, i):

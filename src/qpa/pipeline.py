@@ -89,7 +89,6 @@ class ConvolutionOperands:
 
     v_circ: np.ndarray
     x_masked: np.ndarray
-    r: int
 
     @property
     def n(self):
@@ -118,7 +117,7 @@ def build_operands(x, seed, r):
     v_circ[1:] = seed.bits.to_bits()[::-1]
     x_masked = x.to_bits().astype(np.float64)
     x_masked[:r] = 0.0
-    return ConvolutionOperands(v_circ=v_circ, x_masked=x_masked, r=r)
+    return ConvolutionOperands(v_circ=v_circ, x_masked=x_masked)
 
 
 def _gate_residual(residual, n):

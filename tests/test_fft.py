@@ -94,13 +94,10 @@ def test_fft_small_round_trip_and_batching():
         assert np.allclose(spec[row], fft_small(x[row]), atol=0)
 
 
-@pytest.mark.parametrize("fft_out", [True, False])
-def test_large_batches_split_over_two_threads_exactly(monkeypatch, fft_out):
+def test_large_batches_split_over_two_threads_exactly(monkeypatch):
     # batches of 2^18 points or more run half their rows on a helper
-    # thread; every row must come out as in one numpy call, whether the
-    # halves are written in place (numpy 2) or copied into place
+    # thread; every row must come out as in one numpy call
     monkeypatch.setattr(qpa.fft, "_SPLIT", True)
-    monkeypatch.setattr(qpa.fft, "_FFT_OUT", fft_out and qpa.fft._FFT_OUT)
     rng = np.random.default_rng(23)
     for shape in ((512, 512), (3, 256, 512), (64, 4096)):
         x = random_complex(rng, shape)

@@ -1,5 +1,7 @@
 """Exact GF(2) reference hash and the integer convolution oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,9 +49,11 @@ def test_hash_direct_matches_brute_force():
 
 
 def test_hash_direct_awkward_offsets():
-    # lengths straddling byte boundaries exercise every shifted copy
+    # every r at lengths around byte boundaries: each seed offset class
+    # o mod 8, r < 8, r = n-1 and the reversed read of the parity table
     rng = np.random.default_rng(11)
-    for n, r in ((9, 1), (9, 8), (17, 9), (33, 7), (41, 23), (64, 63)):
+    every_r = [(n, r) for n in (2, 9, 16, 17, 64) for r in range(1, n)]
+    for n, r in every_r + [(33, 7), (41, 23)]:
         x = random_bitvector(rng, n)
         seed = random_seed(rng, n)
         assert np.array_equal(
@@ -68,6 +72,22 @@ def test_hash_direct_small_chunks(monkeypatch):
         assert np.array_equal(
             hash_direct(x, seed, r).to_bits(), brute_force_hash(x, seed, r)
         )
+
+
+@pytest.mark.parametrize("n", [1 << 16, 1 << 18])
+def test_hash_direct_memory_bound(monkeypatch, n):
+    # the documented bound: one chunk plus 6 bytes per input bit
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 1 << 16)
+    rng = np.random.default_rng(13)
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    tracemalloc.start()
+    try:
+        hash_direct(x, seed, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= oracle._CHUNK_BYTES + 6 * n
 
 
 @settings(max_examples=40, deadline=None)

@@ -33,7 +33,7 @@ def test_operand_layout():
     x = random_bitvector(rng, n)
     seed = random_seed(rng, n)
     ops = build_operands(x, seed, r)
-    assert ops.n == n and ops.r == r
+    assert ops.n == n
     assert ops.v_circ[0] == 0.0
     vb = seed.bits.to_bits()
     for p in (1, 2, 17, n - 1):
@@ -155,7 +155,7 @@ def test_mode_b_rejects_unsupported_length():
     ops = build_operands(
         BitVector.zeros(64), ToeplitzSeed(BitVector.zeros(63)), 8
     )
-    short = type(ops)(v_circ=ops.v_circ[:32], x_masked=ops.x_masked[:32], r=8)
+    short = type(ops)(v_circ=ops.v_circ[:32], x_masked=ops.x_masked[:32])
     for mode in MODES:
         with pytest.raises(ParameterError):
             convolve(short, mode)
