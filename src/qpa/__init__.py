@@ -19,7 +19,6 @@ from .core import (
     ROLE_FINAL,
     ROLE_RAW,
     ROLE_SEED,
-    WORD_BITS,
     BitVector,
     PaParams,
     ToeplitzSeed,
@@ -45,14 +44,12 @@ from .fft import (
     supported_lengths,
 )
 from .oracle import (
-    cyclic_convolve_naive,
     hash_direct,
     hash_single_bit,
 )
 from .pipeline import (
     MODES,
     RESIDUAL_LIMIT,
-    ConvolutionOperands,
     FinalKey,
     RunStats,
     build_operands,
@@ -72,7 +69,6 @@ from .transpose import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "WORD_BITS",
     "ROLE_RAW",
     "ROLE_SEED",
     "ROLE_FINAL",
@@ -89,7 +85,6 @@ __all__ = [
     "PrecisionError",
     "hash_direct",
     "hash_single_bit",
-    "cyclic_convolve_naive",
     "supported_lengths",
     "is_supported_length",
     "matrix_side",
@@ -111,7 +106,6 @@ __all__ = [
     "MODES",
     "RESIDUAL_LIMIT",
     "RunStats",
-    "ConvolutionOperands",
     "FinalKey",
     "build_operands",
     "run_mode_b_schedule",

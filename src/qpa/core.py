@@ -22,7 +22,6 @@ from .errors import FormatError, ParameterError
 from .fft import matrix_side
 
 __all__ = [
-    "WORD_BITS",
     "ROLE_RAW",
     "ROLE_SEED",
     "ROLE_FINAL",
@@ -37,8 +36,6 @@ __all__ = [
     "read_bits",
     "write_bits",
 ]
-
-WORD_BITS = 8  # storage is byte-packed, LSB-first within each byte
 
 ROLE_RAW = 0
 ROLE_SEED = 1
@@ -236,11 +233,14 @@ def final_key_length(n, t, s):
     t : int
         Bits assumed leaked during transmission and reconciliation.
     s : int
-        Security margin for `leakage_bound`.
+        Security margin for `leakage_bound`, at least 1 (the rule
+        `PaParams` keeps).
     """
-    for name, v in (("n", n), ("t", t), ("s", s)):
+    for name, v in (("n", n), ("t", t)):
         if not isinstance(v, int) or v < 0:
             raise ParameterError("%s must be a non-negative int, got %r" % (name, v))
+    if not isinstance(s, int) or s < 1:
+        raise ParameterError("security margin s must be an int of at least 1, got %r" % (s,))
     if n <= t + s:
         raise ParameterError(
             "no key left: n=%d does not exceed t+s=%d" % (n, t + s)

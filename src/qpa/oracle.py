@@ -1,4 +1,4 @@
-"""Exact GF(2) references for the hash and the cyclic convolution.
+"""Exact GF(2) references for the hash.
 
 The hash family is the block matrix [I | T]: an r x r identity beside
 an r x (n-r) diagonal-constant block with ``T[i][j] = V[r-1-i+j]``, V
@@ -26,7 +26,6 @@ from .errors import ParameterError
 __all__ = [
     "hash_direct",
     "hash_single_bit",
-    "cyclic_convolve_naive",
 ]
 
 # parity of each possible byte value
@@ -111,32 +110,3 @@ def hash_single_bit(x, seed, r, i):
         parity ^= int(np.bitwise_xor.reduce(row_bits & tail_bits))
     return parity ^ x.bit(i)
 
-
-def cyclic_convolve_naive(a, b):
-    """Exact cyclic convolution c[i] = sum_j a[i-j mod m] * b[j].
-
-    Quadratic-time integer reference used to pin down the FFT path; no
-    floating point anywhere.
-
-    Parameters
-    ----------
-    a, b : array-like of integers, equal length m >= 1.
-
-    Returns
-    -------
-    ndarray of int64, length m.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ParameterError(
-            "operands must be equal-length 1-D vectors, got %r and %r"
-            % (a.shape, b.shape)
-        )
-    if a.size == 0:
-        raise ParameterError("operands must not be empty")
-    if a.dtype.kind not in "iub" or b.dtype.kind not in "iub":
-        raise ParameterError("operands must be integer vectors")
-    m = a.size
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return a.astype(np.int64)[idx] @ b.astype(np.int64)

@@ -11,7 +11,7 @@ For output rows below r the convolution reads only genuine seed bits
 parity of ``conv[i]`` is the block row i, and the final key is
 ``x[:r] XOR parity(conv[:r])``.
 
-`convolve` is the one convolution path.  It packs the two real
+`convolve` is the one convolution path.  It packs the two 0/1 byte
 operands into one complex transform, runs it forward, splits the
 spectra, multiplies them and runs the inverse.  The mode picks the
 layout the buffers stay in from load to store:
@@ -22,12 +22,12 @@ mode "A"
 
 mode "B"
     digit-transposed order (`fft2d_permuted`, two physical
-    transposes).  The packed operands are loaded through the
+    transposes).  The operand bits are loaded through the
     digit-transpose map, the spectra are split with that layout's
     closed-form mirror rule (`real_unpack_spectra`), and the result
     stays in it.  `privacy_amplify` stores the parity bits back through
-    the same map, a reorder of n bytes instead of four matrix
-    transposes of n complex values.
+    the same map.  So bits are reordered at both ends, never the n
+    complex values.
 
 Both modes give identical keys.  Values are rounded to integers at the
 end; the largest distance from an integer (the residual) is checked
@@ -58,7 +58,6 @@ __all__ = [
     "RESIDUAL_LIMIT",
     "MODES",
     "RunStats",
-    "ConvolutionOperands",
     "FinalKey",
     "build_operands",
     "convolve",
@@ -84,18 +83,6 @@ def _stage(stats, name):
 
 
 @dataclasses.dataclass
-class ConvolutionOperands:
-    """Real convolution inputs derived from one (input, seed, r) triple."""
-
-    v_circ: np.ndarray
-    x_masked: np.ndarray
-
-    @property
-    def n(self):
-        return self.v_circ.shape[0]
-
-
-@dataclasses.dataclass
 class FinalKey:
     """Distilled key bits plus how they were computed."""
 
@@ -105,19 +92,20 @@ class FinalKey:
 
 
 def build_operands(x, seed, r):
-    """Embed an (input, seed, r) triple as two real length-n vectors.
+    """Embed an (input, seed, r) triple as the pair ``(x_masked, v_circ)``.
 
-    ``v_circ[0] = 0`` and ``v_circ[p] = V[n-1-p]`` for p >= 1;
-    ``x_masked[j] = x[j]`` for j >= r, else 0.  Cyclic convolution of
-    the pair then reproduces every block row below r exactly (the
-    padding slot only ever multiplies masked-off entries there).
+    Both are length-n uint8 0/1 vectors.  ``x_masked[j] = x[j]`` for
+    j >= r, else 0; ``v_circ[0] = 0`` and ``v_circ[p] = V[n-1-p]`` for
+    p >= 1.  Cyclic convolution of the pair then reproduces every block
+    row below r exactly (the padding slot only ever multiplies
+    masked-off entries there).
     """
     n = check_hash_inputs(x, seed, r)
-    v_circ = np.zeros(n, dtype=np.float64)
+    x_masked = x.to_bits()
+    x_masked[:r] = 0
+    v_circ = np.zeros(n, dtype=np.uint8)
     v_circ[1:] = seed.bits.to_bits()[::-1]
-    x_masked = x.to_bits().astype(np.float64)
-    x_masked[:r] = 0.0
-    return ConvolutionOperands(v_circ=v_circ, x_masked=x_masked)
+    return x_masked, v_circ
 
 
 def _gate_residual(residual, n):
@@ -128,24 +116,25 @@ def _gate_residual(residual, n):
         )
 
 
-def convolve(operands, mode="B", stats=None):
-    """Cyclic convolution of the operands on the schedule of ``mode``.
+def convolve(x_masked, v_circ, mode="B", stats=None):
+    """Cyclic convolution of two real vectors on the schedule of ``mode``.
 
-    Pack (through the digit-transpose map in mode B), forward
-    transform, spectrum split in the layout's order, multiply, inverse
-    with the 1/n scale.  The result stays in the layout's physical
-    order, so ``digit_transpose(convolve(ops, "B"))`` equals
-    ``convolve(ops, "A")``.  An unsupported length raises
+    Pack (in mode B the operand bytes are digit-transposed first),
+    forward transform, spectrum split in the layout's order, multiply,
+    inverse with the 1/n scale.  The result stays in the layout's
+    physical order, so ``digit_transpose(convolve(x, v, "B"))`` equals
+    ``convolve(x, v, "A")``.  An unsupported length raises
     `ParameterError` before any row transform runs.
     """
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
-    n = operands.n
     transform = fft2d_permuted if mode == "B" else fft2d_natural
     with _stage(stats, "pack"):
-        z = real_pack(operands.x_masked, operands.v_circ)
         if mode == "B":
-            z = digit_transpose(z)
+            # load-side address translation
+            x_masked, v_circ = digit_transpose(x_masked), digit_transpose(v_circ)
+        z = real_pack(x_masked, v_circ)
+    n = z.shape[0]
     # each full-size buffer is dropped once spent, so the next one can
     # reuse its memory
     with _stage(stats, "forward"):
@@ -165,7 +154,7 @@ def convolve(operands, mode="B", stats=None):
 run_mode_b_schedule = convolve
 
 
-def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
+def privacy_amplify(x, seed, r, mode="B", t=None, s_min=1, stats=None):
     """Distill an r-bit final key from an n-bit input.
 
     Runs `convolve` in ``mode``; in mode B the parity bits, not the
@@ -181,7 +170,8 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
     r : int
         Final key length, 0 < r < n.
     mode : {"A", "B"}
-        Transform schedule; identical output either way.
+        Transform schedule; identical output either way.  B, the
+        default, runs two transposes instead of six.
     t : int, optional
         Bits assumed leaked.  When given, the security margin
         n - t - r is derived by `PaParams` (which requires at least 1)
@@ -215,8 +205,8 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
             )
 
     with _stage(stats, "build"):
-        operands = build_operands(x, seed, r)
-    conv = convolve(operands, mode, stats=stats)
+        x_masked, v_circ = build_operands(x, seed, r)
+    conv = convolve(x_masked, v_circ, mode, stats=stats)
 
     with _stage(stats, "finalize"):
         # block by block: round, leave the rounding error in the real
@@ -245,7 +235,7 @@ def privacy_amplify(x, seed, r, mode="A", t=None, s_min=1, stats=None):
     return FinalKey(bits=BitVector.from_bits(bits), mode=mode, residual=residual)
 
 
-def precision_profile(lengths, random_instances=3, mode="A", rng=None):
+def precision_profile(lengths, random_instances=3, mode="B", rng=None):
     """Residual survey across transform lengths.
 
     For each n the all-ones input and seed (every convolution term

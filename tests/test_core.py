@@ -190,6 +190,11 @@ def test_final_key_length():
         final_key_length(64, 32, 32)
     with pytest.raises(ParameterError):
         final_key_length(64, -1, 3)
+    # margin at least 1, as PaParams and privacy_amplify require
+    assert final_key_length(64, 10, 1) == 53
+    for bad_s in (0, -1):
+        with pytest.raises(ParameterError):
+            final_key_length(64, 10, bad_s)
 
 
 def test_pa_params_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpa.fft
+from conftest import cyclic_convolve_naive
 from qpa import ParameterError
 from qpa.fft import (
     SMALL_SIZES,
@@ -20,7 +21,6 @@ from qpa.fft import (
     rotation_grid,
     supported_lengths,
 )
-from qpa.oracle import cyclic_convolve_naive
 from qpa.transpose import RunStats
 
 
@@ -285,6 +285,10 @@ def test_real_pack_layout():
     z = real_pack(x, v)
     assert z.dtype == np.complex128
     assert np.array_equal(z.real, x) and np.array_equal(z.imag, v)
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    z = real_pack(bits, bits[::-1])
+    assert z.dtype == np.complex128
+    assert np.array_equal(z, bits + 1j * bits[::-1])
     with pytest.raises(ParameterError):
         real_pack(x, v[:3])
 

@@ -1,4 +1,4 @@
-"""Exact GF(2) reference hash and the integer convolution oracle."""
+"""Exact GF(2) reference hash, and the tests' integer convolution oracle."""
 
 import tracemalloc
 
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_hash, random_bitvector, random_seed
+from conftest import brute_force_hash, cyclic_convolve_naive, random_bitvector, random_seed
 from qpa import BitVector, ParameterError, ToeplitzSeed
 from qpa import oracle
-from qpa.oracle import cyclic_convolve_naive, hash_direct, hash_single_bit
+from qpa.oracle import hash_direct, hash_single_bit
 
 # --------------------------------------------------------------------------
 # worked example, small enough to check by hand

@@ -1,5 +1,6 @@
 """End-to-end distillation pipeline against the exact reference hash."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,15 +33,18 @@ def test_operand_layout():
     n, r = 64, 20
     x = random_bitvector(rng, n)
     seed = random_seed(rng, n)
-    ops = build_operands(x, seed, r)
-    assert ops.n == n
-    assert ops.v_circ[0] == 0.0
+    x_masked, v_circ = build_operands(x, seed, r)
+    # the operands stay bits: two length-n uint8 vectors of 0/1 values
+    for op in (x_masked, v_circ):
+        assert op.dtype == np.uint8 and op.shape == (n,)
+        assert set(np.unique(op)) <= {0, 1}
+    assert v_circ[0] == 0
     vb = seed.bits.to_bits()
     for p in (1, 2, 17, n - 1):
-        assert ops.v_circ[p] == vb[n - 1 - p]
+        assert v_circ[p] == vb[n - 1 - p]
     xb = x.to_bits()
-    assert not ops.x_masked[:r].any()
-    assert np.array_equal(ops.x_masked[r:], xb[r:].astype(np.float64))
+    assert not x_masked[:r].any()
+    assert np.array_equal(x_masked[r:], xb[r:])
 
 
 def test_operand_validation():
@@ -96,6 +100,8 @@ def test_modes_agree_bit_for_bit():
         a = privacy_amplify(x, seed, r, mode="A")
         b = privacy_amplify(x, seed, r, mode="B")
         assert a.bits == b.bits
+        default = privacy_amplify(x, seed, r)
+        assert default.mode == "B" and default.bits == b.bits
 
 
 def test_trivial_cases():
@@ -134,8 +140,8 @@ def test_mode_b_convolution_equals_mode_a():
     rng = np.random.default_rng(56)
     for n in (64, 1024):
         ops = build_operands(random_bitvector(rng, n), random_seed(rng, n), n // 2)
-        conv_a = convolve(ops, "A")
-        conv_b = digit_transpose(convolve(ops, "B"))
+        conv_a = convolve(*ops, "A")
+        conv_b = digit_transpose(convolve(*ops, "B"))
         # address translation only: identical arithmetic, identical result
         assert np.array_equal(conv_b, conv_a)
         assert np.abs(conv_b - conv_a).max() < 1e-9  # the documented bound
@@ -145,20 +151,19 @@ def test_mode_b_result_is_digit_transposed():
     rng = np.random.default_rng(57)
     n = 64
     ops = build_operands(random_bitvector(rng, n), random_seed(rng, n), 20)
-    conv_a = convolve(ops, "A")
-    conv_b = convolve(ops, "B")
+    conv_a = convolve(*ops, "A")
+    conv_b = convolve(*ops, "B")
     assert np.array_equal(conv_b, conv_a[digit_transpose(np.arange(n))])
     assert np.array_equal(digit_transpose(conv_b), conv_a)
 
 
 def test_mode_b_rejects_unsupported_length():
-    ops = build_operands(
+    x_masked, v_circ = build_operands(
         BitVector.zeros(64), ToeplitzSeed(BitVector.zeros(63)), 8
     )
-    short = type(ops)(v_circ=ops.v_circ[:32], x_masked=ops.x_masked[:32])
     for mode in MODES:
         with pytest.raises(ParameterError):
-            convolve(short, mode)
+            convolve(x_masked[:32], v_circ[:32], mode)
 
 
 def test_convolve_rejects_unknown_mode():
@@ -167,7 +172,43 @@ def test_convolve_rejects_unknown_mode():
     )
     for mode in ("C", "b", None):
         with pytest.raises(ParameterError):
-            convolve(ops, mode)
+            convolve(*ops, mode)
+
+
+def test_mode_b_reorders_bits_not_complex_values(monkeypatch):
+    # load and store translate addresses on bytes: the two operands and
+    # the parity, never a complex buffer
+    rng = np.random.default_rng(61)
+    n = 1 << 12
+    x, seed = random_bitvector(rng, n), random_seed(rng, n)
+    seen = []
+
+    def recorded(v):
+        seen.append(np.asarray(v).dtype)
+        return digit_transpose(v)
+
+    monkeypatch.setattr(qpa.pipeline, "digit_transpose", recorded)
+    key = privacy_amplify(x, seed, n // 2, mode="B")
+    assert key.bits == hash_direct(x, seed, n // 2)
+    assert seen == [np.dtype(np.uint8)] * 3
+
+
+def test_peak_memory_of_one_distillation():
+    # the operands are bytes and no complex buffer is reordered, so one
+    # distillation stays under 4 complex128 buffers (16n bytes each) in
+    # mode B and 4.5 in mode A
+    rng = np.random.default_rng(62)
+    n = 1 << 18
+    x, seed = random_bitvector(rng, n), random_seed(rng, n)
+    for mode, limit in (("B", 64 * n), ("A", 72 * n)):
+        privacy_amplify(x, seed, n // 2, mode=mode)  # caches the rotation grids
+        tracemalloc.start()
+        try:
+            privacy_amplify(x, seed, n // 2, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (mode, peak / n)
 
 
 # --------------------------------------------------------------------------
