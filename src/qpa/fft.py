@@ -25,14 +25,18 @@ min(k, 64), measured fastest on a CPU (`qpa.transpose`), not the
 memory-row model's `default_tile(k)`.  The transposes are exact
 copies, so the tile never changes a result.
 
-At n = 2^20 every pass is bound by memory bandwidth, so `fft_small`
-and `real_unpack_spectra` split large work over two threads and the
-split runs in cache-sized blocks.
+The row passes are bound by compute, not by memory bandwidth: at
+n = 2^20 one costs about six plain copies of its buffer.  From 2^18
+points `fft_small` and `real_unpack_spectra` split their work over two
+threads, and the split runs in cache-sized blocks.  Every pass after a
+schedule's first writes in place into a buffer the schedule made.
 
 Real-valued packing (`real_pack` / `real_unpack_spectra`) recovers the
 spectra of two real sequences from one complex transform of their
 pointwise pack x + i*v, halving the transform count of a real-input
-convolution.
+convolution.  A real result needs only half its spectrum: in the
+permuted layout the rows 0 .. k/2, which `real_unpack_spectra` returns
+and the inverse of `fft2d_permuted` takes, returning the real signal.
 
 The forward kernel is exp(-2*pi*i/n); the inverse uses conjugated
 factors and applies no 1/n scale (callers divide once at the end).
@@ -67,6 +71,8 @@ __all__ = [
 SMALL_SIZES = tuple(1 << p for p in range(3, 13))  # 8 .. 4096
 _SIDES = tuple(1 << p for p in range(3, 11))  # 8 .. 1024
 _LONG_LENGTHS = tuple(k * k for k in _SIDES)
+# length of the Hermitian half (rows 0 .. k/2 of the k x k layout) -> k
+_HALF_SIDES = {(k // 2 + 1) * k: k for k in _SIDES}
 # Where several elementwise passes run back to back over a buffer, they
 # run block by block, _BLOCK entries (1 MiB of complex128) at a time, so
 # each block stays in cache across them.
@@ -114,16 +120,27 @@ def _direction_is_inverse(direction):
 
 @functools.lru_cache(maxsize=None)
 def rotation_grid(n, inverse=False):
-    """k x k grid of inter-pass rotation factors w_n**(i*j), cached."""
-    k = matrix_side(n)
-    e = np.outer(np.arange(k, dtype=np.int64), np.arange(k, dtype=np.int64)) % n
-    sign = 2j if inverse else -2j
-    g = np.exp((sign * np.pi / n) * e)
+    """k x k grid of inter-pass rotation factors w_n**(i*j), cached.
+
+    cos + i*sin of the angles i*j*(-2*pi/n); i*j < n, so no reduction
+    mod n is needed.  The inverse grid is the forward one's conjugate.
+    """
+    if inverse:
+        # called as the schedules call it, so one cache entry serves both
+        g = np.conjugate(rotation_grid(n, False))
+    else:
+        k = matrix_side(n)
+        i = np.arange(k, dtype=np.float64)
+        angle = np.outer(i, i)
+        angle *= -2.0 * np.pi / n
+        g = np.empty((k, k), dtype=np.complex128)
+        np.cos(angle, out=g.real)
+        np.sin(angle, out=g.imag)
     g.flags.writeable = False
     return g
 
 
-def fft_small(buf, direction="forward"):
+def fft_small(buf, direction="forward", out=None):
     """Batched length-m transforms along the last axis (numpy's FFT).
 
     Parameters
@@ -135,12 +152,16 @@ def fft_small(buf, direction="forward"):
         forward computes Y[o] = sum_m x[m] * w**(o*m) with
         w = exp(-2*pi*i/m); inverse conjugates the factors and does not
         divide by m.
+    out : C-contiguous complex128 ndarray of the input's shape, optional
+        Where the result goes.  It may be ``buf`` itself, so a pass can
+        run in place.
 
     Returns
     -------
-    ndarray of complex128, same shape as the input (never aliased).
-    A batch of 2^18 points or more transforms its two halves of rows on
-    two threads; every row gets the same arithmetic either way.
+    ndarray of complex128, same shape as the input: ``out`` when given,
+    else a new array (never aliased).  A batch of 2^18 points or more
+    transforms its two halves of rows on two threads; every row gets the
+    same arithmetic either way.
     """
     inverse = _direction_is_inverse(direction)
     a = np.asarray(buf, dtype=np.complex128)
@@ -152,14 +173,17 @@ def fft_small(buf, direction="forward"):
     # norm="forward" leaves the inverse unscaled
     kernel = np.fft.ifft if inverse else np.fft.fft
     norm = "forward" if inverse else "backward"
-    rows = a.reshape(-1, m)
-    out = np.empty_like(rows)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    elif out.shape != a.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ParameterError("out must be a C-contiguous complex128 array of the input's shape")
+    rows, dest = a.reshape(-1, m), out.reshape(-1, m)
 
     def part(lo, hi):
-        kernel(rows[lo:hi], axis=-1, norm=norm, out=out[lo:hi])
+        kernel(rows[lo:hi], axis=-1, norm=norm, out=dest[lo:hi])
 
     _in_halves(part, rows.shape[0], a.size)
-    return out.reshape(a.shape)
+    return out
 
 
 def _in_halves(fn, count, points):
@@ -191,16 +215,21 @@ def _in_halves(fn, count, points):
         raise failed[0]
 
 
-def _as_matrix(x):
+def _as_matrix(x, half=False):
+    """x as a C-contiguous complex128 k x k matrix, a view when it is one.
+
+    With ``half``, a length of (k/2 + 1) * k is taken as the rows 0 ..
+    k/2 of a Hermitian spectrum, a (k/2 + 1) x k matrix.
+    """
     x = np.asarray(x)
     if x.ndim != 1:
         raise ParameterError("expected a 1-D buffer, got shape %r" % (x.shape,))
-    k = matrix_side(x.shape[0])
-    if x.dtype == np.complex128:
-        # safe as a view: every schedule copies (transpose or row
-        # transform) before its first in-place write
-        return x.reshape(k, k)
-    return x.astype(np.complex128).reshape(k, k)
+    if half and x.shape[0] in _HALF_SIDES:
+        k = _HALF_SIDES[x.shape[0]]
+        rows = k // 2 + 1
+    else:
+        k = rows = matrix_side(x.shape[0])
+    return np.ascontiguousarray(x, dtype=np.complex128).reshape(rows, k)
 
 
 def fft2d_natural(x, direction="forward", stats=None):
@@ -214,24 +243,48 @@ def fft2d_natural(x, direction="forward", stats=None):
     a = _as_matrix(x)
     _direction_is_inverse(direction)
     a = transpose_blocked(a, stats=stats)
-    a = fft2d_permuted(a.reshape(-1), direction, stats)
+    # the transposed copy is this schedule's own, so it is overwritten
+    a = fft2d_permuted(a.reshape(-1), direction, stats, overwrite_x=True)
     return transpose_blocked(_as_matrix(a), stats=stats).reshape(-1)
 
 
-def fft2d_permuted(x, direction="forward", stats=None):
+def fft2d_permuted(x, direction="forward", stats=None, overwrite_x=False):
     """Long transform that keeps input and output digit-transposed.
 
     row FFTs, rotation factors, transpose, row FFTs.  The direction is
-    checked before the first row FFT.
+    checked before the first row FFT.  The second row pass runs in place
+    on the transposed copy.
+
+    The inverse also takes the Hermitian half of a real signal's
+    spectrum: its rows 0 .. k/2, (k/2 + 1) * k entries, as
+    `real_unpack_spectra` leaves them.  Like ``np.fft.irfft`` it infers
+    n = k*k from that length, and it returns the real signal as float64
+    in the same layout: row IFFTs on the k/2 + 1 rows, their rotation
+    factors, one transpose to k x (k/2 + 1), then a length-k real
+    inverse per row (``np.fft.irfft``) written into the spent row-pass
+    buffer.  Half the work of the full inverse, which a full-length
+    input still gets.
+
+    With ``overwrite_x`` the input buffer may be overwritten, and its
+    memory may hold the result (scipy.fft's ``overwrite_x``): the first
+    row pass then runs in place too.
     """
-    a = _as_matrix(x)
-    n = a.size
     inverse = _direction_is_inverse(direction)
-    a = fft_small(a, direction)
-    a *= rotation_grid(n, inverse)
-    a = transpose_blocked(a, stats=stats)
-    a = fft_small(a, direction)
-    return a.reshape(n)
+    a = _as_matrix(x, half=inverse)
+    rows, k = a.shape
+    a = fft_small(a, direction, out=a if overwrite_x else None)
+    a *= rotation_grid(k * k, inverse)[:rows]
+    t = transpose_blocked(a, stats=stats)
+    if rows == k:
+        return fft_small(t, direction, out=t).reshape(-1)
+    # (k/2 + 1) * k complex values hold the k*k real results
+    out = a.reshape(-1).view(np.float64)[:k * k].reshape(k, k)
+
+    def part(lo, hi):
+        np.fft.irfft(t[lo:hi], n=k, axis=-1, norm="forward", out=out[lo:hi])
+
+    _in_halves(part, k, k * k)
+    return out.reshape(-1)
 
 
 def digit_transpose(v):
@@ -240,18 +293,16 @@ def digit_transpose(v):
     Slot i*k + j of the result holds entry j*k + i: the buffer read as a
     k x k row-major matrix, column by column.  An involution.  This is
     the load/store address translation around the permuted schedule,
-    not one of its counted transposes, though it runs the same tiled
-    copy; ``digit_transpose(np.arange(n))`` is the index map itself.
+    not one of its counted transposes; ``digit_transpose(np.arange(n))``
+    is the index map itself.  One strided copy: a distillation reorders
+    only uint8 bits here, where it beats the tiled copy (9.0 vs 20.5 us
+    at k = 128, 1.21 vs 1.56 ms at k = 1024 on a 2-core x86 VM).
     """
     v = np.asarray(v)
     if v.ndim != 1:
         raise ParameterError("expected a 1-D buffer, got shape %r" % (v.shape,))
     k = matrix_side(v.shape[0])
-    # a distillation reorders only uint8 bits here, where the tiled copy
-    # and one strided copy are within 0.4 ms at every k (2-core x86 VM);
-    # on complex128 buffers the tiled copy keeps each tile in cache and
-    # is 1.6-1.9x faster from k = 512
-    return transpose_blocked(v.reshape(k, k)).reshape(-1)
+    return np.ascontiguousarray(v.reshape(k, k).T).reshape(-1)
 
 
 def real_pack(x, v):
@@ -281,43 +332,53 @@ def real_unpack_spectra(z_hat, permuted=False):
         X(f) = (Z(f) + conj(Z(n-f))) / 2
         V(f) = (Z(f) - conj(Z(n-f))) / (2i)
 
-    indices mod n.  ``z_hat`` is in natural order, or digit-transposed
-    (as `fft2d_permuted` leaves it) when ``permuted`` is true.  In both
-    layouts the slot holding n-f follows from the slot m holding f with
-    a head length h (1 in natural order, k when digit-transposed): slot
-    0 pairs with itself, slot m < h with h - m, and slot m >= h with
-    n + h - 1 - m.  So past the head the mirrors are the same range read
-    in reverse, and no index map is built.  X and V are exactly real at
-    the zero frequency.  The work runs in cache-sized blocks, on two
-    threads for large buffers.
+    indices mod n.  X and V are Hermitian (X(n-f) = conj(X(f))), so only
+    their non-redundant halves are returned: in natural order the first
+    n/2 + 1 frequencies (``np.fft.rfft``'s layout); digit-transposed (as
+    `fft2d_permuted` leaves ``z_hat``, when ``permuted`` is true) the
+    rows 0 .. k/2 of the k x k layout, (k/2 + 1) * k slots, which the
+    inverse of `fft2d_permuted` takes.  In both layouts the slot holding
+    n-f follows from the slot m holding f with a head length h (1 in
+    natural order, k when digit-transposed): slot 0 pairs with itself,
+    slot m < h with h - m, and slot m >= h with n + h - 1 - m.  So
+    row 0 mirrors itself at column -j mod k, row m >= 1 mirrors row
+    k - m read backwards, and no index map is built.  X and V are
+    exactly real at the zero frequency.  The work runs in cache-sized
+    blocks, on two threads for large buffers.
 
     Returns
     -------
-    (X, V) : pair of complex128 ndarrays.
+    (X, V) : pair of complex128 ndarrays of the half's length.
     """
     z_hat = np.asarray(z_hat, dtype=np.complex128)
     if z_hat.ndim != 1:
         raise ParameterError("expected a 1-D spectrum, got shape %r" % (z_hat.shape,))
     n = z_hat.shape[0]
-    h = matrix_side(n) if permuted else 1
-    x_hat = np.empty_like(z_hat)
-    v_hat = np.empty_like(z_hat)
+    if permuted:
+        h = matrix_side(n)
+        half = (h // 2 + 1) * h
+    else:
+        h, half = 1, n // 2 + 1
+    x_hat = np.empty(half, dtype=np.complex128)
+    v_hat = np.empty(half, dtype=np.complex128)
 
-    def combine(b, mirrored):
-        # mirrored holds conj(Z) at the mirror slot of each slot in b
-        np.add(z_hat[b], mirrored, out=x_hat[b])
-        x_hat[b] *= 0.5
-        np.subtract(z_hat[b], mirrored, out=v_hat[b])
+    def combine(b, mirror):
+        # mirror holds Z at the mirror slot of each slot in b; its
+        # conjugate is staged in X's slots, so no temporary is made
+        conj = np.conjugate(mirror, out=x_hat[b])
+        np.subtract(z_hat[b], conj, out=v_hat[b])
+        conj += z_hat[b]
+        conj *= 0.5
         v_hat[b] *= -0.5j
 
-    combine(slice(0, h), np.conjugate(np.concatenate((z_hat[:1], z_hat[h - 1:0:-1]))))
+    combine(slice(0, h), np.concatenate((z_hat[:1], z_hat[h - 1:0:-1])))
 
     def split(lo, hi):
         for start in range(h + lo, h + hi, _BLOCK):
             stop = min(start + _BLOCK, h + hi)
-            combine(slice(start, stop), np.conjugate(z_hat[n + h - stop:n + h - start][::-1]))
+            combine(slice(start, stop), z_hat[n + h - stop:n + h - start][::-1])
 
-    _in_halves(split, n - h, n)
+    _in_halves(split, half - h, n)
     return x_hat, v_hat
 
 

@@ -12,26 +12,30 @@ parity of ``conv[i]`` is the block row i, and the final key is
 ``x[:r] XOR parity(conv[:r])``.
 
 `convolve` is the one convolution path.  It packs the two 0/1 byte
-operands into one complex transform, runs it forward, splits the
-spectra, multiplies them and runs the inverse.  The mode picks the
-layout the buffers stay in from load to store:
+operands into one complex transform and runs it forward.  The result
+is real, so its spectrum is Hermitian: the spectra are split, multiplied
+and inverted on the rows 0 .. k/2 of the digit-transposed layout only
+(`real_unpack_spectra`, `pointwise_multiply`, the real-output inverse
+of `fft2d_permuted`), and the result is a float64 vector.  The mode
+picks the order the buffers are loaded and stored in:
 
 mode "A"
-    natural order (`fft2d_natural` forward and inverse, six physical
-    transposes per convolution).
+    natural order, six physical transposes per convolution:
+    `fft2d_natural`'s three, one back to the digit-transposed layout
+    for the half spectrum, the inverse's one, and one to natural order
+    at the end.
 
 mode "B"
     digit-transposed order (`fft2d_permuted`, two physical
     transposes).  The operand bits are loaded through the
-    digit-transpose map, the spectra are split with that layout's
-    closed-form mirror rule (`real_unpack_spectra`), and the result
-    stays in it.  `privacy_amplify` stores the parity bits back through
-    the same map.  So bits are reordered at both ends, never the n
-    complex values.
+    digit-transpose map and the result stays in that layout.
+    `privacy_amplify` stores the parity bits back through the same map.
+    So bits are reordered at both ends, never the n complex values.
 
-Both modes give identical keys.  Values are rounded to integers at the
-end; the largest distance from an integer (the residual) is checked
-against ``RESIDUAL_LIMIT`` on every run and reported in `FinalKey`.
+Both modes run the same arithmetic and give identical keys.  Values are
+rounded to integers at the end; the largest distance from an integer
+(the residual) is checked against ``RESIDUAL_LIMIT`` on every run and
+reported in `FinalKey`.
 """
 
 import dataclasses
@@ -52,7 +56,7 @@ from .fft import (
     real_pack,
     real_unpack_spectra,
 )
-from .transpose import RunStats
+from .transpose import RunStats, transpose_blocked
 
 __all__ = [
     "RESIDUAL_LIMIT",
@@ -116,38 +120,53 @@ def _gate_residual(residual, n):
         )
 
 
+def _counted_transpose(buf, stats):
+    """Mode A's own transposes: a k x k buffer between natural order and
+    the digit-transposed layout, counted in ``stats``."""
+    k = matrix_side(buf.shape[0])
+    return transpose_blocked(buf.reshape(k, k), stats=stats).reshape(-1)
+
+
 def convolve(x_masked, v_circ, mode="B", stats=None):
     """Cyclic convolution of two real vectors on the schedule of ``mode``.
 
     Pack (in mode B the operand bytes are digit-transposed first),
-    forward transform, spectrum split in the layout's order, multiply,
-    inverse with the 1/n scale.  The result stays in the layout's
-    physical order, so ``digit_transpose(convolve(x, v, "B"))`` equals
+    forward transform, spectrum split on the Hermitian half of the
+    digit-transposed layout, multiply, real-output inverse with the 1/n
+    scale.  Returns float64 in the layout's physical order, so
+    ``digit_transpose(convolve(x, v, "B"))`` equals
     ``convolve(x, v, "A")``.  An unsupported length raises
     `ParameterError` before any row transform runs.
     """
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
-    transform = fft2d_permuted if mode == "B" else fft2d_natural
     with _stage(stats, "pack"):
         if mode == "B":
             # load-side address translation
             x_masked, v_circ = digit_transpose(x_masked), digit_transpose(v_circ)
         z = real_pack(x_masked, v_circ)
     n = z.shape[0]
-    # each full-size buffer is dropped once spent, so the next one can
-    # reuse its memory
+    # each buffer is overwritten or dropped once spent, so the next one
+    # can reuse its memory
     with _stage(stats, "forward"):
-        z = transform(z, "forward", stats=stats)
+        if mode == "B":
+            z = fft2d_permuted(z, "forward", stats, overwrite_x=True)
+        else:
+            z = _counted_transpose(fft2d_natural(z, "forward", stats), stats)
     with _stage(stats, "unpack"):
-        x_hat, v_hat = real_unpack_spectra(z, permuted=mode == "B")
+        x_hat, v_hat = real_unpack_spectra(z, permuted=True)
     del z
     with _stage(stats, "multiply"):
         s_hat = pointwise_multiply(x_hat, v_hat)
     del x_hat, v_hat
     with _stage(stats, "inverse"):
-        conv = transform(s_hat, "inverse", stats=stats)
+        # not overwrite_x: reusing s_hat here left glibc trimming the
+        # heap after each 2^20 run, about 1,000 more minor page faults
+        conv = fft2d_permuted(s_hat, "inverse", stats)
+        del s_hat
         conv *= 1.0 / n
+        if mode == "A":
+            conv = _counted_transpose(conv, stats)
     return conv
 
 
@@ -158,7 +177,7 @@ def privacy_amplify(x, seed, r, mode="B", t=None, s_min=1, stats=None):
     """Distill an r-bit final key from an n-bit input.
 
     Runs `convolve` in ``mode``; in mode B the parity bits, not the
-    complex result, are reordered back to natural order.  Every
+    float result, are reordered back to natural order.  Every
     argument is checked before the operands are built.
 
     Parameters
@@ -209,24 +228,23 @@ def privacy_amplify(x, seed, r, mode="B", t=None, s_min=1, stats=None):
     conv = convolve(x_masked, v_circ, mode, stats=stats)
 
     with _stage(stats, "finalize"):
-        # block by block: round, leave the rounding error in the real
-        # part, and take the residual as the largest magnitude among the
-        # float64 pairs (np.max keeps a NaN).  Under the gate nothing
-        # sits within 0.25 of a half-integer, so round-half-up and
-        # round-to-nearest give the same parity.  A NaN or inf makes the
-        # gate raise, so its parity is never used and its casts stay
-        # silent.
+        # block by block: round, leave the rounding error in place, and
+        # take the residual as its largest magnitude (np.max keeps a
+        # NaN; + 0.0 turns the -0.0 of an exact result into +0.0).
+        # Under the gate nothing sits within 0.25 of a half-integer, so
+        # round-half-up and round-to-nearest give the same parity.  A
+        # NaN or inf makes the gate raise, so its parity is never used
+        # and its casts stay silent.
         parity = np.empty(n, dtype=np.uint8)
         peaks = []
         with np.errstate(invalid="ignore"):
             for lo in range(0, n, _BLOCK):
                 block = conv[lo:lo + _BLOCK]
-                rounded = np.rint(block.real)
-                block.real -= rounded
-                err = block.view(np.float64)
-                peaks += [err.max(), -err.min()]
+                rounded = np.rint(block)
+                block -= rounded
+                peaks += [block.max(), -block.min()]
                 parity[lo:lo + _BLOCK] = rounded.astype(np.int64) & 1
-        residual = float(np.max(peaks))
+        residual = float(np.max(peaks)) + 0.0
         _gate_residual(residual, n)
         if mode == "B":
             # store-side address translation back to natural order

@@ -1,7 +1,8 @@
 """Square matrix transposition and its memory-access cost model.
 
 The long-transform schedules in :mod:`qpa.fft` move data between
-row-major passes by physically transposing a k x k matrix.  A plain
+row-major passes by physically transposing a k x k matrix, or its
+first k/2 + 1 rows in the real-output inverse.  A plain
 transpose copy reads one operand column-major, which touches a different
 memory row on every access when each matrix row occupies one memory row.
 Splitting the matrix into t x t square tiles and moving whole tiles
@@ -60,6 +61,22 @@ def _require_square(m):
     return k
 
 
+def _require_side(m):
+    """Side k of a k x k matrix or of its rows 0 .. k/2 (k/2 + 1 of them).
+
+    The second shape is the Hermitian half of a spectrum, which the
+    real-output inverse transposes.
+    """
+    if m.ndim != 2 or m.shape[0] not in (m.shape[1], m.shape[1] // 2 + 1):
+        raise ParameterError(
+            "expected a k x k matrix or its first k/2 + 1 rows, got shape %r" % (m.shape,)
+        )
+    k = m.shape[1]
+    if not _is_pow2(k):
+        raise ParameterError("matrix side must be a power of two, got %d" % k)
+    return k
+
+
 # Largest tile the transposes execute with when the caller picks none.
 # One k x k complex128 transpose on a 2-core x86 VM (numpy 2.4.6): tile
 # 64 is within microseconds of one strided copy up to k = 256 and beats
@@ -106,7 +123,8 @@ def transpose_blocked(m, tile=None, stats=None):
 
     Parameters
     ----------
-    m : ndarray, k x k with k a power of two.
+    m : ndarray, k x k with k a power of two, or its first k/2 + 1 rows
+        (the tiles of the last row band are cut short).
     tile : int, optional
         Tile side; must divide k.  Defaults to min(k, 64), the tile
         measured fastest on a CPU, not the model's `default_tile(k)`.
@@ -121,12 +139,12 @@ def transpose_blocked(m, tile=None, stats=None):
         New array equal to ``m.T``.
     """
     m = np.asarray(m)
-    k = _require_square(m)
+    k = _require_side(m)
     tile = _require_tile(k, tile)
     if stats is not None:
         stats.transposes += 1
-    out = np.empty_like(m)
-    for i0 in range(0, k, tile):
+    out = np.empty(m.shape[::-1], dtype=m.dtype)
+    for i0 in range(0, m.shape[0], tile):
         ii = slice(i0, i0 + tile)
         for j0 in range(0, k, tile):
             jj = slice(j0, j0 + tile)

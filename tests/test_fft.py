@@ -69,6 +69,17 @@ def test_rotation_grid():
         grid[0, 0] = 0
 
 
+def test_rotation_grids_match_the_exp_formula_at_every_length():
+    # built from cos and sin of float angles; the inverse is the conjugate
+    for n in supported_lengths():
+        k = matrix_side(n)
+        e = np.outer(np.arange(k), np.arange(k)) % n
+        for inverse, sign in ((False, -2j), (True, 2j)):
+            want = np.exp(sign * np.pi * e / n)
+            assert np.abs(rotation_grid(n, inverse) - want).max() <= 1e-15, (n, inverse)
+        del e, want
+
+
 # --------------------------------------------------------------------------
 # row-transform kernel
 
@@ -127,6 +138,24 @@ def test_fft_small_never_aliases_input():
     assert y is not x
     y[0] = 99
     assert x[0] == 0
+
+
+def test_fft_small_writes_into_out_in_place(monkeypatch):
+    monkeypatch.setattr(qpa.fft, "_SPLIT", True)  # the two-thread split too
+    rng = np.random.default_rng(24)
+    for shape in ((4, 64), (512, 512)):
+        x = random_complex(rng, shape)
+        for direction, want in (
+            ("forward", np.fft.fft(x, axis=-1)),
+            ("inverse", np.fft.ifft(x, axis=-1, norm="forward")),
+        ):
+            buf = x.copy()
+            assert fft_small(buf, direction, out=buf) is buf
+            assert np.array_equal(buf, want)
+    x = random_complex(rng, (4, 64))
+    for bad in (np.empty((4, 32), complex), np.empty((4, 64)), np.empty((64, 4), complex).T):
+        with pytest.raises(ParameterError):
+            fft_small(x, out=bad)
 
 
 def test_fft_small_accepts_real_input():
@@ -203,7 +232,53 @@ def test_fft2d_input_not_mutated():
     kept = x.copy()
     fft2d_natural(x)
     fft2d_permuted(x)
+    fft2d_permuted(x[:(16 // 2 + 1) * 16], "inverse")
     assert np.array_equal(x, kept)
+
+
+def test_overwrite_x_gives_the_same_result():
+    rng = np.random.default_rng(29)
+    for n in (64, 4096):
+        x = random_complex(rng, n)
+        for direction in ("forward", "inverse"):
+            want = fft2d_permuted(x, direction)
+            assert np.array_equal(fft2d_permuted(x.copy(), direction, overwrite_x=True), want)
+        k = matrix_side(n)
+        half = x[: (k // 2 + 1) * k]
+        want = fft2d_permuted(half, "inverse")
+        assert np.array_equal(fft2d_permuted(half.copy(), "inverse", overwrite_x=True), want)
+
+
+def _hermitian_half(rng, n):
+    """Rows 0..k/2 of the permuted spectrum of a random real signal."""
+    k = matrix_side(n)
+    x = rng.standard_normal(n)
+    return x, fft2d_permuted(digit_transpose(x))[: (k // 2 + 1) * k]
+
+
+def test_half_inverse_is_the_real_part_of_the_full_inverse():
+    rng = np.random.default_rng(34)
+    for n in (64, 256, 1024, 4096, 1 << 16):
+        x, half = _hermitian_half(rng, n)
+        full = fft2d_permuted(fft2d_permuted(digit_transpose(x)), "inverse")
+        got = fft2d_permuted(half, "inverse")
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.abs(got - full.real).max() < 1e-9 * n, n
+        # unscaled, digit-transposed: n times the signal in the layout
+        assert np.abs(got / n - digit_transpose(x)).max() < 1e-12, n
+
+
+def test_half_inverse_counts_one_transpose_and_checks_its_length():
+    rng = np.random.default_rng(35)
+    stats = RunStats()
+    _, half = _hermitian_half(rng, 1024)
+    fft2d_permuted(half, "inverse", stats=stats)
+    assert stats.transposes == 1
+    for bad in (half[:-1], np.concatenate((half, half[:32]))):
+        with pytest.raises(ParameterError):
+            fft2d_permuted(bad, "inverse")
+    with pytest.raises(ParameterError):  # a half is an inverse's input only
+        fft2d_permuted(half, "forward")
 
 
 def test_fft2d_validation():
@@ -241,6 +316,10 @@ def test_digit_transpose_is_an_involution():
 def test_digit_transpose_gather():
     v = np.arange(64)
     assert np.array_equal(digit_transpose(v), v.reshape(8, 8).T.reshape(-1))
+    bits = np.random.default_rng(36).integers(0, 2, 4096, dtype=np.uint8)
+    d = digit_transpose(bits)  # the bytes a distillation reorders
+    assert d.dtype == np.uint8 and d.flags.c_contiguous
+    assert np.array_equal(d, bits.reshape(64, 64).T.reshape(-1))
     assert np.array_equal(digit_transpose(digit_transpose(v)), v)
     with pytest.raises(ParameterError):
         digit_transpose(np.zeros((8, 8)))
@@ -294,13 +373,15 @@ def test_real_pack_layout():
 
 
 def test_one_transform_carries_two_real_spectra():
+    # natural order: the halves are np.fft.rfft's n/2 + 1 frequencies
     rng = np.random.default_rng(30)
     for n in (64, 1024):
         x = rng.standard_normal(n)
         v = rng.standard_normal(n)
         x_hat, v_hat = real_unpack_spectra(fft2d_natural(real_pack(x, v)))
-        assert np.abs(x_hat - fft2d_natural(x)).max() < 1e-9
-        assert np.abs(v_hat - fft2d_natural(v)).max() < 1e-9
+        assert x_hat.shape == v_hat.shape == (n // 2 + 1,)
+        assert np.abs(x_hat - np.fft.rfft(x)).max() < 1e-9
+        assert np.abs(v_hat - np.fft.rfft(v)).max() < 1e-9
 
 
 def test_unpacked_zero_frequency_is_exactly_real():
@@ -313,29 +394,37 @@ def test_unpacked_zero_frequency_is_exactly_real():
 
 
 def test_unpack_handles_permuted_layout():
+    # digit-transposed: the halves are the spectra's rows 0 .. k/2
     rng = np.random.default_rng(32)
-    n = 256
-    d = digit_transpose(np.arange(n))
-    x = rng.standard_normal(n)
-    v = rng.standard_normal(n)
-    z_hat = fft2d_permuted(digit_transpose(real_pack(x, v)))
-    x_hat, v_hat = real_unpack_spectra(z_hat, permuted=True)
-    assert np.abs(x_hat[d] - fft2d_natural(x)).max() < 1e-9
-    assert np.abs(v_hat[d] - fft2d_natural(v)).max() < 1e-9
+    for n in (64, 256, 4096):
+        k = matrix_side(n)
+        rows = digit_transpose(np.arange(n))[: (k // 2 + 1) * k]
+        x = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        z_hat = fft2d_permuted(digit_transpose(real_pack(x, v)))
+        x_hat, v_hat = real_unpack_spectra(z_hat, permuted=True)
+        assert x_hat.shape == v_hat.shape == rows.shape
+        assert np.abs(x_hat - np.fft.fft(x)[rows]).max() < 1e-9
+        assert np.abs(v_hat - np.fft.fft(v)[rows]).max() < 1e-9
 
 
 def test_unpack_mirror_matches_index_map_split():
     # the reversed-slice mirror against a gather through explicit index
-    # maps, at every supported length (2^18 and 2^20 split on two threads)
+    # maps, on the half each layout keeps, at every supported length
+    # (2^18 and 2^20 split on two threads)
     rng = np.random.default_rng(33)
     for n in supported_lengths():
+        k = matrix_side(n)
         z_hat = random_complex(rng, n)
         d = digit_transpose(np.arange(n))
-        for permuted, partner in ((False, (n - np.arange(n)) % n), (True, d[(n - d) % n])):
-            mirrored = np.conjugate(z_hat[partner])
+        for permuted, partner, half in (
+            (False, (n - np.arange(n)) % n, n // 2 + 1),
+            (True, d[(n - d) % n], (k // 2 + 1) * k),
+        ):
+            z, mirrored = z_hat[:half], np.conjugate(z_hat[partner[:half]])
             x_hat, v_hat = real_unpack_spectra(z_hat, permuted=permuted)
-            assert np.array_equal(x_hat, (z_hat + mirrored) * 0.5), (n, permuted)
-            assert np.array_equal(v_hat, (z_hat - mirrored) * -0.5j), (n, permuted)
+            assert np.array_equal(x_hat, (z + mirrored) * 0.5), (n, permuted)
+            assert np.array_equal(v_hat, (z - mirrored) * -0.5j), (n, permuted)
             del mirrored, x_hat, v_hat
 
 

@@ -36,6 +36,24 @@ def test_blocked_tile_sweep():
         assert np.array_equal(transpose_blocked(m, tile=tile), m.T)
 
 
+def test_blocked_transposes_the_first_half_plus_one_rows():
+    # the Hermitian half of a k x k spectrum, (k/2 + 1) x k, which the
+    # real-output inverse transposes; the last row band cuts its tiles
+    rng = np.random.default_rng(44)
+    for k in (8, 128, 1024):
+        m = rng.standard_normal((k // 2 + 1, k)) + 1j
+        for tile in (None, 1 if k == 8 else 4, k):
+            stats = RunStats()
+            got = transpose_blocked(m, tile=tile, stats=stats)
+            assert np.array_equal(got, m.T) and got.flags.c_contiguous, (k, tile)
+            assert stats.transposes == 1
+    for bad in (np.zeros((6, 8)), np.zeros((8, 5)), np.zeros((5, 12)), np.zeros((7, 12))):
+        with pytest.raises(ParameterError):
+            transpose_blocked(bad)
+    with pytest.raises(ParameterError):
+        transpose_naive(np.zeros((5, 8)))
+
+
 def test_double_transpose_is_identity():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((32, 32))
