@@ -15,101 +15,19 @@ hash ships alongside for verification.
 True
 """
 
-from .core import (
-    ROLE_FINAL,
-    ROLE_RAW,
-    ROLE_SEED,
-    BitVector,
-    PaParams,
-    ToeplitzSeed,
-    final_key_length,
-    generate_seed,
-    leakage_bound,
-    read_bits,
-    write_bits,
-)
-from .errors import FormatError, ParameterError, PrecisionError
-from .fft import (
-    count_transposes,
-    digit_transpose,
-    fft2d_natural,
-    fft2d_permuted,
-    fft_small,
-    is_supported_length,
-    matrix_side,
-    pointwise_multiply,
-    real_pack,
-    real_unpack_spectra,
-    rotation_grid,
-    supported_lengths,
-)
-from .oracle import (
-    hash_direct,
-    hash_single_bit,
-)
-from .pipeline import (
-    MODES,
-    RESIDUAL_LIMIT,
-    FinalKey,
-    RunStats,
-    build_operands,
-    precision_profile,
-    privacy_amplify,
-    run_mode_b_schedule,
-)
-from .transpose import (
-    AccessCostReport,
-    bench_transpose,
-    default_tile,
-    simulate_row_spans,
-    transpose_blocked,
-    transpose_naive,
-)
+from . import core, errors, fft, oracle, pipeline, transpose
+from .core import *
+from .errors import *
+from .fft import *
+from .oracle import *
+from .pipeline import *
+from .transpose import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of the public names it defines
 __all__ = [
-    "ROLE_RAW",
-    "ROLE_SEED",
-    "ROLE_FINAL",
-    "BitVector",
-    "PaParams",
-    "ToeplitzSeed",
-    "leakage_bound",
-    "final_key_length",
-    "generate_seed",
-    "read_bits",
-    "write_bits",
-    "FormatError",
-    "ParameterError",
-    "PrecisionError",
-    "hash_direct",
-    "hash_single_bit",
-    "supported_lengths",
-    "is_supported_length",
-    "matrix_side",
-    "rotation_grid",
-    "fft_small",
-    "fft2d_natural",
-    "fft2d_permuted",
-    "digit_transpose",
-    "real_pack",
-    "real_unpack_spectra",
-    "pointwise_multiply",
-    "count_transposes",
-    "AccessCostReport",
-    "default_tile",
-    "transpose_naive",
-    "transpose_blocked",
-    "simulate_row_spans",
-    "bench_transpose",
-    "MODES",
-    "RESIDUAL_LIMIT",
-    "RunStats",
-    "FinalKey",
-    "build_operands",
-    "run_mode_b_schedule",
-    "privacy_amplify",
-    "precision_profile",
-    "__version__",
-]
+    name
+    for module in (core, errors, fft, oracle, pipeline, transpose)
+    for name in module.__all__
+] + ["__version__"]

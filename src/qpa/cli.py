@@ -34,7 +34,7 @@ from .core import (
 from .errors import FormatError, ParameterError, PrecisionError
 from .fft import is_supported_length, matrix_side
 from .oracle import hash_direct, hash_single_bit
-from .pipeline import RunStats, privacy_amplify
+from .pipeline import MODES, RunStats, privacy_amplify
 from .transpose import bench_transpose, render_bench_report
 
 EXIT_OK = 0
@@ -207,17 +207,8 @@ def cmd_bench(args):
             "--repetitions must be at least 1, got %d" % args.repetitions
         )
     n = args.n
-    k = matrix_side(n)
-    report = bench_transpose(k, tile=args.tile, repetitions=args.repetitions)
+    report = bench_transpose(matrix_side(n), tile=args.tile, repetitions=args.repetitions)
     print(render_bench_report(report))
-    for strategy in ("naive", "blocked"):
-        print(
-            "modeled row spans %-8s k=%d: write %s + read %s = %s"
-            % (strategy, k,
-               format(report[strategy + "_row_span_writes"], ","),
-               format(report[strategy + "_row_span_reads"], ","),
-               format(report[strategy + "_row_spans"], ","))
-        )
 
     rng = np.random.default_rng(7)
     x = BitVector.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
@@ -225,7 +216,7 @@ def cmd_bench(args):
     r = n // 2
     print("pipeline bench: n=%d r=%d (best of %d)" % (n, r, args.repetitions))
     mode_rows = {}
-    for mode in ("A", "B"):
+    for mode in MODES:
         _time_mode(x, seed, r, mode, 1)  # warm caches
         seconds, stats = _time_mode(x, seed, r, mode, args.repetitions)
         mode_rows[mode] = (seconds, stats)
@@ -274,7 +265,7 @@ def build_parser():
     p.add_argument("--final-bits", type=int, help="final key length r")
     p.add_argument("--leaked-bits", type=int, help="bits assumed leaked (t)")
     p.add_argument("--security-bits", type=int, help="security margin s = n-t-r")
-    p.add_argument("--mode", choices=("A", "B"), default="B",
+    p.add_argument("--mode", choices=MODES, default="B",
                    help="transform schedule (default B)")
     p.add_argument("--manifest", help="append a JSON line per run to this file")
     p.set_defaults(func=cmd_run)
@@ -285,8 +276,8 @@ def build_parser():
     _add_seed_source(p)
     p.add_argument("--samples", type=int, default=256,
                    help="rows to spot-check for large n (default 256)")
-    p.add_argument("--full-compare-limit", type=int, default=4096,
-                   help="compare every bit when n is at most this (default 4096)")
+    p.add_argument("--full-compare-limit", type=int, default=65536,
+                   help="compare every bit when n is at most this (default 65536)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time transposes and both pipeline modes")

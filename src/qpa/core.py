@@ -207,8 +207,10 @@ def check_hash_inputs(x, seed, r):
     n = x.length
     if seed.n != n:
         raise ParameterError("seed serves n=%d, input has %d bits" % (seed.n, n))
-    if not isinstance(r, int) or not 0 < r < n:
-        raise ParameterError("output length r=%r must satisfy 0 < r < n=%d" % (r, n))
+    if not isinstance(r, int):
+        raise ParameterError("output length r must be an int, got %s" % type(r).__name__)
+    if not 0 < r < n:
+        raise ParameterError("output length r=%d must satisfy 0 < r < n=%d" % (r, n))
     return n
 
 

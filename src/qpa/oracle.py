@@ -98,8 +98,10 @@ def hash_single_bit(x, seed, r, i):
     paying for the full hash.  Matches ``hash_direct(x, seed, r).bit(i)``.
     """
     n = check_hash_inputs(x, seed, r)
-    if not isinstance(i, int) or not 0 <= i < r:
-        raise ParameterError("row %r out of range [0, %d)" % (i, r))
+    if not isinstance(i, int):
+        raise ParameterError("row i must be an int, got %s" % type(i).__name__)
+    if not 0 <= i < r:
+        raise ParameterError("row %d out of range [0, %d)" % (i, r))
 
     start = r - 1 - i
     parity = 0

@@ -21,9 +21,10 @@ picks the order the buffers are loaded and stored in:
 
 mode "A"
     natural order, six physical transposes per convolution:
-    `fft2d_natural`'s three, one back to the digit-transposed layout
-    for the half spectrum, the inverse's one, and one to natural order
-    at the end.
+    `fft2d_natural`'s three (the packed buffer into the digit-transposed
+    layout, the forward's one, the spectrum to natural order), one back
+    for the half spectrum, the inverse's one, and the result to natural
+    order.
 
 mode "B"
     digit-transposed order (`fft2d_permuted`, two physical
@@ -49,7 +50,6 @@ from .errors import ParameterError, PrecisionError
 from .fft import (
     _BLOCK,
     digit_transpose,
-    fft2d_natural,
     fft2d_permuted,
     matrix_side,
     pointwise_multiply,
@@ -61,7 +61,6 @@ from .transpose import RunStats, transpose_blocked
 __all__ = [
     "RESIDUAL_LIMIT",
     "MODES",
-    "RunStats",
     "FinalKey",
     "build_operands",
     "convolve",
@@ -130,29 +129,32 @@ def _counted_transpose(buf, stats):
 def convolve(x_masked, v_circ, mode="B", stats=None):
     """Cyclic convolution of two real vectors on the schedule of ``mode``.
 
-    Pack (in mode B the operand bytes are digit-transposed first),
-    forward transform, spectrum split on the Hermitian half of the
-    digit-transposed layout, multiply, real-output inverse with the 1/n
-    scale.  Returns float64 in the layout's physical order, so
-    ``digit_transpose(convolve(x, v, "B"))`` equals
+    Pack (mode B digit-transposes the operand bytes first, mode A the
+    packed buffer after), forward transform, spectrum split on the
+    Hermitian half of the digit-transposed layout, multiply, real-output
+    inverse with the 1/n scale.  Returns float64 in the layout's
+    physical order, so ``digit_transpose(convolve(x, v, "B"))`` equals
     ``convolve(x, v, "A")``.  An unsupported length raises
     `ParameterError` before any row transform runs.
     """
     if mode not in MODES:
         raise ParameterError("mode must be 'A' or 'B', got %r" % (mode,))
+    # each buffer is overwritten or dropped once spent, so the next one
+    # can reuse its memory
     with _stage(stats, "pack"):
         if mode == "B":
             # load-side address translation
             x_masked, v_circ = digit_transpose(x_masked), digit_transpose(v_circ)
         z = real_pack(x_masked, v_circ)
+        if mode == "A":
+            z = _counted_transpose(z, stats)
     n = z.shape[0]
-    # each buffer is overwritten or dropped once spent, so the next one
-    # can reuse its memory
     with _stage(stats, "forward"):
-        if mode == "B":
-            z = fft2d_permuted(z, "forward", stats, overwrite_x=True)
-        else:
-            z = _counted_transpose(fft2d_natural(z, "forward", stats), stats)
+        z = fft2d_permuted(z, "forward", stats, overwrite_x=True)
+        if mode == "A":
+            # the natural-order spectrum, then back to the permuted layout
+            z = _counted_transpose(z, stats)
+            z = _counted_transpose(z, stats)
     with _stage(stats, "unpack"):
         x_hat, v_hat = real_unpack_spectra(z, permuted=True)
     del z

@@ -52,15 +52,6 @@ def _is_pow2(x):
     return isinstance(x, int) and x > 0 and x & (x - 1) == 0
 
 
-def _require_square(m):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError("expected a square matrix, got shape %r" % (m.shape,))
-    k = m.shape[0]
-    if not _is_pow2(k):
-        raise ParameterError("matrix side must be a power of two, got %d" % k)
-    return k
-
-
 def _require_side(m):
     """Side k of a k x k matrix or of its rows 0 .. k/2 (k/2 + 1 of them).
 
@@ -106,16 +97,16 @@ def default_tile(k):
 
 
 def transpose_naive(m, stats=None):
-    """Transpose by a single strided copy.
+    """Transpose a k x k matrix by a single strided copy.
 
-    Writes the source row-major and reads it column-major, the access
-    pattern whose modeled cost is k + k**2 row-span events.
+    `transpose_blocked` at one tile of side k: writes the source
+    row-major and reads it column-major, the access pattern whose
+    modeled cost is k + k**2 row-span events.
     """
     m = np.asarray(m)
-    _require_square(m)
-    if stats is not None:
-        stats.transposes += 1
-    return m.T.copy()
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ParameterError("expected a square matrix, got shape %r" % (m.shape,))
+    return transpose_blocked(m, tile=m.shape[0], stats=stats)
 
 
 def transpose_blocked(m, tile=None, stats=None):
@@ -131,7 +122,7 @@ def transpose_blocked(m, tile=None, stats=None):
         The long-transform schedules always take the default; an
         explicit tile is for experiments such as `bench_transpose`.
     stats : RunStats, optional
-        Incremented once per call, like `transpose_naive`.
+        Incremented once per call.
 
     Returns
     -------
@@ -273,17 +264,24 @@ def bench_transpose(k, tile=None, repetitions=3):
 
 
 def render_bench_report(report):
-    """Format a `bench_transpose` report as a line-oriented text table."""
+    """Format a `bench_transpose` report as a line-oriented text table,
+    followed by each strategy's modeled row spans."""
     lines = [
         "transpose bench: k=%(k)d tile=%(tile)d dtype=%(dtype)s "
         "data=%(data_mbits).1f Mb (best of %(repetitions)d)" % report,
-        "  %-8s %12s %10s %16s" % ("strategy", "seconds", "Gbps", "row spans"),
-        "  %-8s %12.6f %10.2f %16s"
-        % ("naive", report["naive_seconds"], report["naive_gbps"],
-           format(report["naive_row_spans"], ",")),
-        "  %-8s %12.6f %10.2f %16s"
-        % ("blocked", report["blocked_seconds"], report["blocked_gbps"],
-           format(report["blocked_row_spans"], ",")),
+        "  %-8s %12s %10s" % ("strategy", "seconds", "Gbps"),
     ]
+    for strategy in ("naive", "blocked"):
+        lines.append(
+            "  %-8s %12.6f %10.2f"
+            % (strategy, report[strategy + "_seconds"], report[strategy + "_gbps"])
+        )
+    for strategy in ("naive", "blocked"):
+        lines.append(
+            "modeled row spans %-8s k=%d: write %s + read %s = %s"
+            % (strategy, report["k"],
+               format(report[strategy + "_row_span_writes"], ","),
+               format(report[strategy + "_row_span_reads"], ","),
+               format(report[strategy + "_row_spans"], ","))
+        )
     return "\n".join(lines)
-

@@ -263,6 +263,17 @@ def test_verify_full_compare(raw_file, tmp_path, capsys):
     assert "all 100 bits match" in capsys.readouterr().out
 
 
+def test_verify_compares_every_bit_by_default_at_2_pow_14(tmp_path, capsys):
+    n, r = 1 << 14, 1 << 13
+    raw_path = tmp_path / "raw.qpa1"
+    write_bits(random_bitvector(np.random.default_rng(71), n), raw_path, ROLE_RAW)
+    final_path = _distill(tmp_path, raw_path, r)
+    code = cli.main(["verify", "--input", str(raw_path), "--final", str(final_path),
+                     "--master-secret", SECRET])
+    assert code == 0
+    assert "all %d bits match" % r in capsys.readouterr().out
+
+
 def test_verify_catches_tampering(raw_file, tmp_path, capsys):
     raw_path, _ = raw_file
     final_path = _distill(tmp_path, raw_path)
@@ -419,6 +430,8 @@ def test_bench_models_row_spans_once_per_strategy(capsys, monkeypatch):
     # k = 64 at the model tile 4: 64 + 64*64 naive, 2 * 4 * 64 blocked
     assert "naive    k=64: write 64 + read 4,096 = 4,160" in out
     assert "blocked  k=64: write 256 + read 256 = 512" in out
+    # each total is printed once
+    assert out.split().count("4,160") == 1 and out.split().count("512") == 1
 
 
 def test_bench_rejects_bad_tile_before_timing(capsys, monkeypatch):

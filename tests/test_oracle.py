@@ -167,6 +167,9 @@ def test_hash_single_bit_validation():
         hash_single_bit(x, seed, 10.0, 0)
     with pytest.raises(ParameterError):
         hash_single_bit(x, seed, 4, 1.0)
+    # a numpy integer in range is refused for its type, not its range
+    with pytest.raises(ParameterError, match="row i must be an int, got int64"):
+        hash_single_bit(x, seed, 10, np.int64(3))
 
 
 # --------------------------------------------------------------------------

@@ -69,6 +69,9 @@ def test_operand_validation_rejects_non_integer_r():
     for bad_r in (10.0, "10"):
         with pytest.raises(ParameterError):
             build_operands(x, seed, bad_r)
+    # a numpy integer in range is refused for its type, not its range
+    with pytest.raises(ParameterError, match="r must be an int, got int64"):
+        privacy_amplify(x, seed, np.int64(5))
 
 
 # --------------------------------------------------------------------------
@@ -199,11 +202,12 @@ def test_peak_memory_of_one_distillation():
     # the operands are bytes, the forward overwrites the packed buffer,
     # and the split, multiply and inverse hold half spectra, so one
     # distillation stays under 2.5 complex128 buffers (16n bytes each)
-    # in mode B (it reads 36n) and 3.375 in mode A (50n)
+    # in both modes: mode B reads 36n, mode A 34n (each of its extra
+    # transposes drops the buffer it copied)
     rng = np.random.default_rng(62)
     n = 1 << 18
     x, seed = random_bitvector(rng, n), random_seed(rng, n)
-    for mode, limit in (("B", 40 * n), ("A", 54 * n)):
+    for mode, limit in (("B", 40 * n), ("A", 40 * n)):
         privacy_amplify(x, seed, n // 2, mode=mode)  # caches the rotation grids
         tracemalloc.start()
         try:

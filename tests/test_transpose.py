@@ -50,6 +50,13 @@ def test_blocked_transposes_the_first_half_plus_one_rows():
     for bad in (np.zeros((6, 8)), np.zeros((8, 5)), np.zeros((5, 12)), np.zeros((7, 12))):
         with pytest.raises(ParameterError):
             transpose_blocked(bad)
+    # the naive strategy is the tiled one at a single k x k tile, and
+    # takes square matrices only
+    for k in (8, 128):
+        m = rng.standard_normal((k, k)) + 1j
+        stats = RunStats()
+        assert np.array_equal(transpose_naive(m, stats=stats), transpose_blocked(m, tile=k))
+        assert stats.transposes == 1
     with pytest.raises(ParameterError):
         transpose_naive(np.zeros((5, 8)))
 
