@@ -77,7 +77,7 @@ with tempfile.TemporaryDirectory() as tmp:
 # --------------------------------------------------------------------
 # 6. Verify.  The FFT pipeline is floating point inside, so check it
 #    against the exact GF(2) hash: the full compare at this size, plus
-#    the streaming single-bit probe used for very large sessions.
+#    the single-bit probe on packed bytes used for very large sessions.
 
 reference = qpa.hash_direct(raw, seed, params.r)
 assert reference == key.bits

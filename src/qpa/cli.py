@@ -34,7 +34,7 @@ from .core import (
 from .errors import FormatError, ParameterError, PrecisionError
 from .fft import is_supported_length, matrix_side
 from .oracle import hash_direct, hash_single_bit
-from .pipeline import MODES, RunStats, privacy_amplify
+from .pipeline import MODES, RESIDUAL_LIMIT, RunStats, privacy_amplify
 from .transpose import bench_transpose, render_bench_report
 
 EXIT_OK = 0
@@ -102,6 +102,12 @@ def cmd_run(args):
     )
     write_bits(key.bits, args.output, ROLE_FINAL)
     if args.manifest:
+        # imported here, not with the module: a run without --manifest,
+        # and any program that imports the CLI, does not load them
+        import math
+        import os
+        import platform
+
         record = {
             "time": datetime.datetime.now().isoformat(timespec="seconds"),
             "input": args.input,
@@ -112,6 +118,13 @@ def cmd_run(args):
             "s": s,
             "mode": key.mode,
             "residual": key.residual,
+            # an exact result reads as float resolution, so JSON stays finite
+            "headroom": math.log10(
+                RESIDUAL_LIMIT / max(key.residual, sys.float_info.epsilon)
+            ),
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            "cpu_count": os.cpu_count(),
             "transposes": stats.transposes,
             "seconds_total": stats.total_seconds(),
         }

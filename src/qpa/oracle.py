@@ -11,6 +11,10 @@ table: row i reads the seed from offset o = r-1-i, and for o = 8j + s
 that window starts at byte j of table row s.  So every row of a shift
 class s is a byte-aligned window, and a run of them is one slice.
 
+`hash_single_bit` computes one row without the table: it shifts the
+seed bytes under the tail onto x's byte grid chunk by chunk, so a
+spot check costs a few passes over ``(n-r)/8`` bytes per row.
+
 Everything here is plain bit arithmetic over packed bytes; the FFT
 pipeline is checked against these functions bit for bit, and they in
 turn are checked against a per-bit triple loop in the tests.  Inputs
@@ -31,11 +35,14 @@ __all__ = [
 # parity of each possible byte value
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
 
-# cap on the rows x packed-columns product materialized at once (~32 MB)
-_CHUNK_BYTES = 1 << 25
+# cap on the rows x packed-columns product materialized at once (1 MiB,
+# so a chunk stays in a core's L2 cache)
+_CHUNK_BYTES = 1 << 20
 
-# row bits `hash_single_bit` unpacks at once
-_ROW_CHUNK_BITS = 1 << 16
+# tail bits `hash_single_bit` checks at once; a multiple of 8, and large
+# enough that a 2**20-bit session's row (about 2**19 tail bits) is one
+# chunk of 64 KiB
+_ROW_CHUNK_BITS = 1 << 20
 
 
 def hash_direct(x, seed, r):
@@ -44,10 +51,13 @@ def hash_direct(x, seed, r):
     Row i reads the seed window at offset ``o = r-1-i = 8j + s``: as
     many bytes as the packed tail, from byte j of row s of the shifted
     seed table.  Each shift class s is a run of such windows, ANDed
-    with the packed tail and folded to parities in chunks; the parities go to column s of a
-    ``(groups, 8)`` table, whose flat index is o, so the block parity
-    is that table read backwards.  Time O(n*r / 8); peak extra memory
-    at most ``_CHUNK_BYTES + 6*n`` bytes.
+    with the packed tail and folded to parities in chunks; the parities
+    go to column s of a ``(groups, 8)`` table, whose flat index is o, so
+    the block parity is that table read backwards.  Time O(n*r / 8);
+    peak extra memory at most ``_CHUNK_BYTES + 6*n`` bytes.  At 1 MiB
+    and r = n/2 - 64, a chunk is the whole table at 2**14 bits (1016
+    rows of 1032 bytes) and 255 of its 4088 rows of 4104 bytes at
+    2**16.
 
     Parameters
     ----------
@@ -91,24 +101,54 @@ def hash_direct(x, seed, r):
 
 
 def hash_single_bit(x, seed, r, i):
-    """Output bit i alone, streaming the row in fixed-size chunks.
+    """Output bit i alone, on packed bytes, in fixed-size chunks.
 
-    Runs in O(n) time with O(``_ROW_CHUNK_BITS``) extra memory, so a
-    handful of rows of a 2**20-bit session can be spot-checked without
-    paying for the full hash.  Matches ``hash_direct(x, seed, r).bit(i)``.
+    Bit p of the tail (``r <= p < n``) meets seed bit ``p - (i+1)``.
+    For each chunk of the tail's bytes the seed bytes are copied and
+    aligned to x's byte grid with one shift of 64-bit words, ANDed with
+    x's bytes and XOR-folded to one byte; the bits below r in the first
+    byte are masked off.  That is about 6 passes over ``(n-r)/8`` bytes
+    (a copy, two word shifts, an OR, an AND and a fold), with no unpack.
+
+    Extra memory is two buffers of the chunk's size, at most
+    ``2*(_ROW_CHUNK_BITS/8) + 24`` bytes, for any n; so a handful of
+    rows of a 2**20-bit session, whose tail is one chunk, can be
+    spot-checked without paying for the full hash.  Matches
+    ``hash_direct(x, seed, r).bit(i)``.
     """
-    n = check_hash_inputs(x, seed, r)
+    check_hash_inputs(x, seed, r)
     if not isinstance(i, int):
         raise ParameterError("row i must be an int, got %s" % type(i).__name__)
     if not 0 <= i < r:
         raise ParameterError("row %d out of range [0, %d)" % (i, r))
 
-    start = r - 1 - i
-    parity = 0
-    for lo in range(0, n - r, _ROW_CHUNK_BITS):
-        span = min(_ROW_CHUNK_BITS, n - r - lo)
-        row_bits = seed.bits.bit_range(start + lo, start + lo + span)
-        tail_bits = x.bit_range(r + lo, r + lo + span)
-        parity ^= int(np.bitwise_xor.reduce(row_bits & tail_bits))
-    return parity ^ x.bit(i)
+    xbytes, sbytes = x.packed, seed.bits.packed
+    first, step = r >> 3, _ROW_CHUNK_BITS // 8
+    words = (min(step, xbytes.size - first) + 7) // 8
+    # `window` holds the seed bytes under a chunk plus one more, as words
+    window = np.empty(words + 1, dtype="<u8")
+    aligned = np.empty(words, dtype="<u8")
+    wbytes, row = window.view(np.uint8), aligned.view(np.uint8)
+    fold = 0
+    for lo in range(first, xbytes.size, step):
+        m = min(step, xbytes.size - lo)
+        used = (m + 7) // 8
+        # chunk bit t is x bit 8*lo + t and meets seed bit 8*lo - (i+1) + t,
+        # which is bit (e & 7) + t of the window starting at seed byte e >> 3;
+        # seed bytes outside the seed read as zero
+        e = 8 * lo - (i + 1)
+        start, shift = e >> 3, e & 7
+        a, b = max(start, 0), min(start + m + 1, sbytes.size)
+        wbytes[:a - start] = 0
+        wbytes[a - start:b - start] = sbytes[a:b]
+        wbytes[b - start:8 * used + 8] = 0
+        # a shift by 64 reads as zero, so shift 0 needs no branch
+        np.left_shift(window[1:used + 1], 64 - shift, out=aligned[:used])
+        np.right_shift(window[:used], shift, out=window[:used])
+        np.bitwise_or(aligned[:used], window[:used], out=aligned[:used])
+        np.bitwise_and(row[:m], xbytes[lo:lo + m], out=row[:m])
+        if lo == first:
+            row[0] &= 0xFF << (r & 7) & 0xFF
+        fold ^= int(np.bitwise_xor.reduce(row[:m]))
+    return int(_PARITY[fold]) ^ x.bit(i)
 

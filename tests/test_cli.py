@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, files, and messages."""
 
+import dataclasses
 import json
+import math
+import os
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +146,40 @@ def test_run_manifest_without_security_terms(raw_file, tmp_path):
     ]) == 0
     (rec,) = [json.loads(line) for line in manifest.read_text().splitlines()]
     assert rec["r"] == 100 and rec["t"] is None and rec["s"] is None
+
+
+def test_run_manifest_records_headroom_and_environment(tmp_path, monkeypatch):
+    rng = np.random.default_rng(72)
+    raw_path, out_path = tmp_path / "raw.qpa1", tmp_path / "final.qpa1"
+    write_bits(random_bitvector(rng, 1 << 12), raw_path, ROLE_RAW)
+    manifest = tmp_path / "runs.jsonl"
+    argv = [
+        "run", "--input", str(raw_path), "--output", str(out_path),
+        "--master-secret", SECRET, "--final-bits", "2048",
+        "--manifest", str(manifest),
+    ]
+    assert cli.main(argv) == 0
+    # an exactly integral convolution (residual 0.0, which random blocks
+    # often give) must still record a finite headroom
+    amplify = cli.privacy_amplify
+    monkeypatch.setattr(
+        cli, "privacy_amplify",
+        lambda *a, **kw: dataclasses.replace(amplify(*a, **kw), residual=0.0),
+    )
+    assert cli.main(argv) == 0
+    body = manifest.read_text()
+    key = read_bits(out_path).to_bytes().hex()
+    assert SECRET not in body.lower() and key not in body.lower()
+    records = [json.loads(line) for line in body.splitlines()]
+    assert records[1]["residual"] == 0.0
+    for rec in records:
+        assert math.isfinite(rec["headroom"])
+        assert rec["headroom"] == pytest.approx(
+            math.log10(0.25 / max(rec["residual"], sys.float_info.epsilon))
+        )
+        assert rec["numpy_version"] == np.__version__
+        assert rec["python_version"] == platform.python_version()
+        assert rec["cpu_count"] == os.cpu_count()
 
 
 def test_run_file_errors(tmp_path):

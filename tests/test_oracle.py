@@ -155,6 +155,56 @@ def test_hash_single_bit_tiny_chunks(monkeypatch):
         assert hash_single_bit(x, seed, 60, i) == full.bit(i)
 
 
+@pytest.mark.parametrize("chunk_bits", [8, 16, None])
+def test_hash_single_bit_every_row(monkeypatch, chunk_bits):
+    # every n < 80, r and i: every r mod 8 (where the tail starts in its
+    # byte), every (i+1) mod 8 (the seed's shift) and chunks of one byte
+    if chunk_bits is not None:
+        monkeypatch.setattr(oracle, "_ROW_CHUNK_BITS", chunk_bits)
+    rng = np.random.default_rng(20)
+    for n in range(2, 80):
+        x = random_bitvector(rng, n)
+        seed = random_seed(rng, n)
+        for r in range(1, n):
+            full = hash_direct(x, seed, r).to_bits()
+            got = [hash_single_bit(x, seed, r, i) for i in range(r)]
+            assert got == full.tolist(), (n, r)
+
+
+@pytest.mark.parametrize("r", [1, 7, 8, 9, 1 << 15, (1 << 16) - 1])
+def test_hash_single_bit_at_2_16(r):
+    n = 1 << 16
+    rng = np.random.default_rng(21)
+    x = random_bitvector(rng, n)
+    seed = random_seed(rng, n)
+    full = hash_direct(x, seed, r)
+    for i in [0, r - 1] + rng.integers(0, r, 30).tolist():
+        assert hash_single_bit(x, seed, r, i) == full.bit(i)
+
+
+def test_hash_single_bit_memory_is_per_chunk(monkeypatch):
+    # the two word buffers of one chunk, plus 4 KiB for numpy's array
+    # objects and views; the same bound at 2**16 and 2**20 shows that
+    # memory does not grow with n.  The bit must not change either: one
+    # chunk holds a whole 2**20 row by default, here 128 chunks do
+    rng = np.random.default_rng(22)
+    cases = []
+    for n in (1 << 16, 1 << 20):
+        x, seed = random_bitvector(rng, n), random_seed(rng, n)
+        cases.append((x, seed, n // 2, hash_single_bit(x, seed, n // 2, 12345)))
+    monkeypatch.setattr(oracle, "_ROW_CHUNK_BITS", 1 << 12)
+    bound = 2 * (oracle._ROW_CHUNK_BITS // 8) + 24 + 4096
+    for x, seed, r, expected in cases:
+        tracemalloc.start()
+        try:
+            got = hash_single_bit(x, seed, r, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (x.length, peak)
+        assert got == expected
+
+
 def test_hash_single_bit_validation():
     rng = np.random.default_rng(17)
     x = random_bitvector(rng, 16)
