@@ -90,23 +90,34 @@ def _append_record(path, record):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _environment():
+    """The numpy and Python versions and the core count, for a record."""
+    # imported here, not with the module: a call that writes no record,
+    # and any program that imports the CLI, does not load them
+    import os
+    import platform
+
+    return {
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def cmd_run(args):
     x = read_bits(args.input, expected_role=ROLE_RAW)
     n = x.length
     seed = _load_seed(args, n)
     r, t, s = _resolve_r(args, n)
-    stats = RunStats()
+    # the manifest record is the only reader of the stage timings
+    stats = RunStats() if args.manifest else None
     key = privacy_amplify(
         x, seed, r, mode=args.mode, t=t, s_min=s if s is not None else 1,
         stats=stats,
     )
     write_bits(key.bits, args.output, ROLE_FINAL)
     if args.manifest:
-        # imported here, not with the module: a run without --manifest,
-        # and any program that imports the CLI, does not load them
-        import math
-        import os
-        import platform
+        import math  # imported here, as `_environment` imports its modules
 
         record = {
             "time": datetime.datetime.now().isoformat(timespec="seconds"),
@@ -122,9 +133,7 @@ def cmd_run(args):
             "headroom": math.log10(
                 RESIDUAL_LIMIT / max(key.residual, sys.float_info.epsilon)
             ),
-            "numpy_version": np.__version__,
-            "python_version": platform.python_version(),
-            "cpu_count": os.cpu_count(),
+            **_environment(),
             "transposes": stats.transposes,
             "seconds_total": stats.total_seconds(),
         }
@@ -243,7 +252,7 @@ def cmd_bench(args):
     print("mode B speedup over mode A: %.3fx" % ratio)
 
     if args.output:
-        merged = dict(report)
+        merged = dict(report, **_environment())
         for mode, (seconds, stats) in mode_rows.items():
             merged["mode_%s_seconds" % mode] = seconds
             merged["mode_%s_mbps" % mode] = n / seconds / 1e6
@@ -263,6 +272,8 @@ def _add_seed_source(parser):
 
 
 def build_parser():
+    """A new parser for the ``qpa`` command line (`main` builds one per
+    process and reuses it)."""
     parser = argparse.ArgumentParser(
         prog="qpa",
         description="Privacy amplification for quantum key distribution: "
@@ -321,8 +332,19 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
+def _parser():
+    """The parser `main` parses with: built on first use, once per process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as err:

@@ -301,7 +301,9 @@ def generate_seed(master_secret, n):
 
     The stream is SHA-256 in counter mode: block i is
     ``SHA-256(master_secret || i)`` with i a 64-bit little-endian block
-    counter, truncated to ceil((n-1)/8) bytes and unpacked LSB first.
+    counter.  Its first ceil((n-1)/8) bytes are the seed's payload as
+    they stand (bit j is bit j % 8, LSB first, of byte j // 8), with
+    the pad bits past bit n-2 cleared; no bit is unpacked.
     Deterministic: one (secret, n) pair always yields the same seed.
 
     Parameters
@@ -324,9 +326,9 @@ def generate_seed(master_secret, n):
     blocks = []
     for counter in range((nbytes + 31) // 32):
         blocks.append(hashlib.sha256(secret + counter.to_bytes(8, "little")).digest())
-    stream = np.frombuffer(b"".join(blocks)[:nbytes], dtype=np.uint8)
-    bits = np.unpackbits(stream, count=n - 1, bitorder="little")
-    return ToeplitzSeed(BitVector.from_bits(bits))
+    payload = np.frombuffer(b"".join(blocks), dtype=np.uint8, count=nbytes).copy()
+    payload[-1] &= 0xFF >> (-(n - 1) & 7)
+    return ToeplitzSeed(BitVector(payload, n - 1))
 
 
 def _role_name(role):

@@ -251,8 +251,12 @@ def privacy_amplify(x, seed, r, mode="B", t=None, s_min=1, stats=None):
         if mode == "B":
             # store-side address translation back to natural order
             parity = digit_transpose(parity)
-        bits = x.bit_range(0, r) ^ parity[:r]
-    return FinalKey(bits=BitVector.from_bits(bits), mode=mode, residual=residual)
+        # formed on packed bytes; the last byte's bits past r-1 took x's
+        # bits there and are the key's pad, so they are cleared
+        key = np.packbits(parity[:r], bitorder="little")
+        key ^= x.packed[:key.size]
+        key[-1] &= 0xFF >> (-r & 7)
+    return FinalKey(bits=BitVector(key, r), mode=mode, residual=residual)
 
 
 def precision_profile(lengths, random_instances=3, mode="B", rng=None):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -502,3 +503,112 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+
+
+def _session_argvs(tmp_path, raw_path):
+    """A CLI session in which every call's parse differs from the last."""
+    final, manifest = str(tmp_path / "final.qpa1"), str(tmp_path / "runs.jsonl")
+    run = ["run", "--input", str(raw_path), "--output", final, "--master-secret", SECRET]
+    verify = ["verify", "--input", str(raw_path), "--final", final, "--master-secret", SECRET]
+    return [
+        run + ["--final-bits", "100"],
+        verify,
+        run + ["--leaked-bits", "28", "--security-bits", "100"],
+        verify + ["--full-compare-limit", "0", "--samples", "300"],
+        verify + ["--full-compare-limit", "0"],
+        run + ["--final-bits", "ten"],  # argparse refuses it: exit 2
+        run + ["--final-bits", "99", "--mode", "A"],
+        verify,
+        run + ["--final-bits", "100", "--manifest", manifest],
+        run + ["--final-bits", "101"],
+        verify + ["--samples", "0"],  # exit 3, after parsing
+        verify,
+    ]
+
+
+def _outcomes(argvs, capsys):
+    """(exit code, stdout, stderr) of each call of `cli.main`, in turn."""
+    got = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    return got
+
+
+def test_repeated_calls_match_fresh_parsers(raw_file, tmp_path, capsys, monkeypatch):
+    raw_path, _ = raw_file
+    argvs = _session_argvs(tmp_path, raw_path)
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = _outcomes(argvs, capsys)
+    assert len(builds) == 1  # built on the first call, reused after
+    # the same session with a new parser for every call
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _outcomes(argvs, capsys)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 3, 0]
+    assert "verify ok: all 100 bits" in reused[1][1]
+    assert "verify ok: 128 sampled rows of 128" in reused[3][1]  # capped at r
+    assert "verify ok: 128 sampled rows of 128" in reused[4][1]
+    assert "invalid int value: 'ten'" in reused[5][2]
+    assert "verify ok: all 99 bits" in reused[7][1]
+    assert "--samples must be at least 1" in reused[10][2]
+    assert "verify ok: all 101 bits" in reused[11][1]
+    # one manifest record per session, none from the runs without --manifest
+    records = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [json.loads(line)["r"] for line in records] == [100, 100]
+
+
+def test_run_times_stages_only_for_a_manifest(raw_file, tmp_path, monkeypatch):
+    raw_path, _ = raw_file
+    seen = []
+    amplify = cli.privacy_amplify
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["stats"])
+        return amplify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "privacy_amplify", recording)
+    base = ["run", "--input", str(raw_path), "--output", str(tmp_path / "f.qpa1"),
+            "--master-secret", SECRET, "--final-bits", "100"]
+    assert cli.main(base) == 0
+    assert cli.main(base + ["--manifest", str(tmp_path / "runs.jsonl")]) == 0
+    assert seen[0] is None and seen[1].transposes == 2
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_bench_record_holds_the_environment_and_no_key_material(tmp_path):
+    out_path = tmp_path / "bench.jsonl"
+    assert cli.main(["bench", "--n", "64", "--repetitions", "1",
+                     "--output", str(out_path)]) == 0
+    body = out_path.read_text()
+    (rec,) = [json.loads(line) for line in body.splitlines()]
+    assert rec["numpy_version"] == np.__version__
+    assert rec["python_version"] == platform.python_version()
+    assert rec["cpu_count"] == os.cpu_count()
+    # the bench distills a fixed random block; no bytes of it, of its
+    # seed or of a key are written, in hex or any other long encoding
+    rng = np.random.default_rng(7)
+    x = BitVector.from_bits(rng.integers(0, 2, 64, dtype=np.uint8))
+    seed = BitVector.from_bits(rng.integers(0, 2, 63, dtype=np.uint8))
+    assert x.to_bytes().hex() not in body and seed.to_bytes().hex() not in body
+    assert re.search(r"[A-Za-z0-9+/=]{32,}", body) is None

@@ -1,5 +1,6 @@
 """End-to-end distillation pipeline against the exact reference hash."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from qpa import (
     RunStats,
     ToeplitzSeed,
     build_operands,
+    generate_seed,
     precision_profile,
     privacy_amplify,
 )
@@ -92,6 +94,47 @@ def test_pipeline_matches_oracle():
                 assert key.mode == mode
                 assert 0.0 <= key.residual < RESIDUAL_LIMIT
                 assert key.bits.length == r
+
+
+def test_whole_keys_match_the_exact_hash_at_the_top_lengths():
+    # every bit, not sampled rows: one exact hash per (x, seed, r), both
+    # modes compared to it
+    rng = np.random.default_rng(56)
+    for n in (1 << 18, 1 << 20):
+        x, seed = random_bitvector(rng, n), random_seed(rng, n)
+        for r in (1, n // 2 - 64, n - 1):
+            want = hash_direct(x, seed, r)
+            for mode in MODES:
+                assert privacy_amplify(x, seed, r, mode=mode).bits == want, (n, r, mode)
+
+
+# the supported lengths when the digest was taken (k x k, k a power of
+# two in [8, 1024]); listed, so a length added later leaves it valid
+SUPPORTED = [k * k for k in (8, 16, 32, 64, 128, 256, 512, 1024)]
+
+# `_key_and_seed_digest` as computed before the seed and the key store
+# were built on packed bytes; any change to a key or seed bit moves it
+KEY_AND_SEED_DIGEST = "ea591c5c445d80dd6d33a742c852dc6828f21a083f7aa05e053b3478b4d0451a"
+
+
+def _key_and_seed_digest():
+    rng = np.random.default_rng(2718)
+    h = hashlib.sha256()
+    for n in SUPPORTED:
+        x, seed = random_bitvector(rng, n), random_seed(rng, n)
+        for r in (1, 7, n // 2, n - 1):
+            for mode in MODES:
+                h.update(b"key %d %d %s " % (n, r, mode.encode()))
+                h.update(privacy_amplify(x, seed, r, mode=mode).bits.to_bytes())
+    # seed lengths n - 1 below, at and past a multiple of 8
+    for n in SUPPORTED + [2, 3, 9, 10, 17, 1001]:
+        h.update(b"seed %d " % n)
+        h.update(generate_seed(rng.bytes(32), n).bits.to_bytes())
+    return h.hexdigest()
+
+
+def test_keys_and_seeds_match_the_committed_digest():
+    assert _key_and_seed_digest() == KEY_AND_SEED_DIGEST
 
 
 def test_modes_agree_bit_for_bit():
