@@ -57,14 +57,14 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # a tampered key is caught and reported with a distinct exit code;
     # one flipped bit among 45472 would likely slip past a 256-row
-    # sample, so raise the full-compare limit to check every bit
+    # sample, but verify compares every bit up to n = 2^18 by default
     final = qpa.read_bits(final_path)
     flip = np.zeros(final.length, dtype=np.uint8)
     flip[123] = 1
     qpa.write_bits(final ^ qpa.BitVector.from_bits(flip), final_path, qpa.ROLE_FINAL)
-    print("\n$ qpa verify ... --full-compare-limit 65536   (one bit flipped)")
+    print("\n$ qpa verify --input raw.qpa1 --final final.qpa1 --seed-file seed.qpa1   (one bit flipped)")
     code = main(["verify", "--input", str(raw_path), "--final", str(final_path),
-                 "--seed-file", str(seed_path), "--full-compare-limit", "65536"])
+                 "--seed-file", str(seed_path)])
     print("exit code %d (5 means verification mismatch)" % code)
 
     print("\nmanifest written by the run (one JSON line per run):")

@@ -4,7 +4,8 @@ Subcommands
 -----------
 run       distill a final key from a raw-key file
 verify    recompute a final key with the direct hash and compare
-bench     time the transpose strategies and both pipeline modes
+bench     time the transpose strategies, both pipeline modes and the
+          direct hash
 gen-seed  derive a seed file from a 256-bit master secret
 params    print the r / security-margin trade-off table for one n
 
@@ -216,11 +217,22 @@ def _time_mode(x, seed, r, mode, repetitions):
     best, best_stats = None, None
     for _ in range(repetitions):
         stats = RunStats()
-        privacy_amplify(x, seed, r, mode=mode, stats=stats)
+        key = privacy_amplify(x, seed, r, mode=mode, stats=stats)
         seconds = stats.total_seconds()
         if best is None or seconds < best:
             best, best_stats = seconds, stats
-    return best, best_stats
+    return best, best_stats, key.bits
+
+
+def _time_exact_hash(x, seed, r, repetitions):
+    import time
+
+    seconds = []
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        hash_direct(x, seed, r)
+        seconds.append(time.perf_counter() - t0)
+    return min(seconds)
 
 
 def cmd_bench(args):
@@ -240,8 +252,8 @@ def cmd_bench(args):
     mode_rows = {}
     for mode in MODES:
         _time_mode(x, seed, r, mode, 1)  # warm caches
-        seconds, stats = _time_mode(x, seed, r, mode, args.repetitions)
-        mode_rows[mode] = (seconds, stats)
+        seconds, stats, key = _time_mode(x, seed, r, mode, args.repetitions)
+        mode_rows[mode] = (seconds, stats, key)
         print(
             "  mode %s: %.4f s, %.2f Mbps, %d transposes"
             % (mode, seconds, n / seconds / 1e6, stats.transposes)
@@ -250,13 +262,20 @@ def cmd_bench(args):
             print("    %-9s %.4f s" % (name, sec))
     ratio = mode_rows["A"][0] / mode_rows["B"][0]
     print("mode B speedup over mode A: %.3fx" % ratio)
+    # the untimed first call checks mode B's key and warms caches
+    if hash_direct(x, seed, r) != mode_rows["B"][2]:
+        print("exact hash: mode B's key differs from the direct hash")
+        return EXIT_MISMATCH
+    exact = _time_exact_hash(x, seed, r, args.repetitions)
+    print("exact hash: %.4f s" % exact)
 
     if args.output:
         merged = dict(report, **_environment())
-        for mode, (seconds, stats) in mode_rows.items():
+        for mode, (seconds, stats, _) in mode_rows.items():
             merged["mode_%s_seconds" % mode] = seconds
             merged["mode_%s_mbps" % mode] = n / seconds / 1e6
             merged["mode_%s_transposes" % mode] = stats.transposes
+        merged["hash_direct_seconds"] = exact
         _append_record(args.output, merged)
         print("appended JSON record -> %s" % args.output)
     return EXIT_OK
@@ -300,11 +319,11 @@ def build_parser():
     _add_seed_source(p)
     p.add_argument("--samples", type=int, default=256,
                    help="rows to spot-check for large n (default 256)")
-    p.add_argument("--full-compare-limit", type=int, default=65536,
-                   help="compare every bit when n is at most this (default 65536)")
+    p.add_argument("--full-compare-limit", type=int, default=262144,
+                   help="compare every bit when n is at most this (default 262144)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time transposes and both pipeline modes")
+    p = sub.add_parser("bench", help="time transposes, both pipeline modes and the exact hash")
     p.add_argument("--n", type=int, default=1 << 20,
                    help="transform length (default 1048576)")
     p.add_argument("--tile", type=int,

@@ -321,11 +321,14 @@ def generate_seed(master_secret, n):
         )
     if not isinstance(n, int) or n < 2:
         raise ParameterError("seed needs n >= 2, got %r" % (n,))
-    secret = bytes(master_secret)
     nbytes = (n - 1 + 7) // 8
+    # the secret is hashed once; each block finishes a copy of that context
+    keyed = hashlib.sha256(master_secret)
     blocks = []
     for counter in range((nbytes + 31) // 32):
-        blocks.append(hashlib.sha256(secret + counter.to_bytes(8, "little")).digest())
+        block = keyed.copy()
+        block.update(counter.to_bytes(8, "little"))
+        blocks.append(block.digest())
     payload = np.frombuffer(b"".join(blocks), dtype=np.uint8, count=nbytes).copy()
     payload[-1] &= 0xFF >> (-(n - 1) & 7)
     return ToeplitzSeed(BitVector(payload, n - 1))

@@ -6,10 +6,10 @@ the n-1 seed bits.  Output bit i is
 
     y[i] = x[i] XOR parity( T[i][:] AND x[r:] )
 
-`hash_direct` packs the seed once at each of its 8 bit shifts into one
-table: row i reads the seed from offset o = r-1-i, and for o = 8j + s
-that window starts at byte j of table row s.  So every row of a shift
-class s is a byte-aligned window, and a run of them is one slice.
+`hash_direct` reads the block by columns: block bit r-1-i is the XOR
+of the seed windows at the set tail bits, each a byte slice of the
+seed packed at one of 8 shifts, XORed a nibble at a time through two
+16-row tables (about ``r*(n-r)/32`` bytes read, with no AND).
 
 `hash_single_bit` computes one row without the table: it shifts the
 seed bytes under the tail onto x's byte grid chunk by chunk, so a
@@ -35,8 +35,8 @@ __all__ = [
 # parity of each possible byte value
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
 
-# cap on the rows x packed-columns product materialized at once (1 MiB,
-# so a chunk stays in a core's L2 cache)
+# cap on the table rows gathered at once, with their indices (1 MiB, so
+# a chunk stays in a core's L2 cache)
 _CHUNK_BYTES = 1 << 20
 
 # tail bits `hash_single_bit` checks at once; a multiple of 8, and large
@@ -48,16 +48,16 @@ _ROW_CHUNK_BITS = 1 << 20
 def hash_direct(x, seed, r):
     """Hash an n-bit input down to r bits, materializing no matrix.
 
-    Row i reads the seed window at offset ``o = r-1-i = 8j + s``: as
-    many bytes as the packed tail, from byte j of row s of the shifted
-    seed table.  Each shift class s is a run of such windows, ANDed
-    with the packed tail and folded to parities in chunks; the parities
-    go to column s of a ``(groups, 8)`` table, whose flat index is o, so
-    the block parity is that table read backwards.  Time O(n*r / 8);
-    peak extra memory at most ``_CHUNK_BYTES + 6*n`` bytes.  At 1 MiB
-    and r = n/2 - 64, a chunk is the whole table at 2**14 bits (1016
-    rows of 1032 bytes) and 255 of its 4088 rows of 4104 bytes at
-    2**16.
+    Block bit u = r-1-i is the XOR of seed bits ``c+u`` over the set
+    tail bits c; for c = 8b + s, bits u < r are bytes b .. b+groups-1
+    of row s of the shifted seed table (``groups = ceil(r/8)``).  Each
+    nibble h of tail byte b selects a row of a 16-row table, the XOR of
+    rows 4h .. 4h+3 over its bits (built by doubling), and the block is
+    the XOR of those windows, gathered and folded in chunks of at most
+    ``_CHUNK_BYTES`` with their indices (Four Russians).  That reads
+    about ``r*(n-r)/32`` bytes, a quarter of a row-by-row AND and fold.
+    Peak extra memory is at most ``_CHUNK_BYTES + 6*n`` bytes: about 4n
+    for x's bits, the shifted table and one 16-row table.
 
     Parameters
     ----------
@@ -71,11 +71,10 @@ def hash_direct(x, seed, r):
     """
     n = check_hash_inputs(x, seed, r)
     xbits = x.to_bits()
-    tail_packed = np.packbits(xbits[r:], bitorder="little")
-    width = tail_packed.size
-    groups = (r + 7) // 8
-    # byte j of row s of `shifted` packs seed bits 8j+s .. 8j+s+7; the
-    # zero bits past the seed only ever meet the tail's zero pad bits
+    tail = np.packbits(xbits[r:], bitorder="little")
+    width, groups = tail.size, (r + 7) // 8
+    # byte j of row s of `shifted` packs seed bits 8j+s .. 8j+s+7; zero
+    # bits past the seed meet only zero tail bits or block bits past r-1
     nbytes = groups - 1 + width
     padded = np.zeros(8 * nbytes + 7, dtype=np.uint8)
     padded[:n - 1] = seed.bits.to_bits()
@@ -83,21 +82,22 @@ def hash_direct(x, seed, r):
         sliding_window_view(padded, 8 * nbytes)[:8], axis=1, bitorder="little"
     )
     del padded
-    windows = sliding_window_view(shifted, width, axis=1)
-
-    # entries at offsets >= r are never written and never read
-    table = np.empty((groups, 8), dtype=np.uint8)
-    rows_per_chunk = max(1, _CHUNK_BYTES // width)
-    # one buffer serves every chunk, so no chunk-sized temporary is
-    # allocated (and paged in) per chunk
-    chunk = np.empty((min(rows_per_chunk, groups), width), dtype=np.uint8)
-    for s in range(8):
-        count = (r - s + 7) // 8
-        for lo in range(0, count, rows_per_chunk):
-            hi = min(lo + rows_per_chunk, count)
-            masked = np.bitwise_and(windows[s, lo:hi], tail_packed, out=chunk[:hi - lo])
-            table[lo:hi, s] = _PARITY[np.bitwise_xor.reduce(masked, axis=1)]
-    return BitVector.from_bits(xbits[:r] ^ table.reshape(-1)[r - 1::-1])
+    # row v*nbytes + b of `windows` is bytes b .. b+groups-1 of table row v
+    table = np.empty((16, nbytes), dtype=np.uint8)
+    windows = sliding_window_view(table.reshape(-1), groups)
+    block, fold = np.zeros(groups, dtype=np.uint8), np.empty(groups, dtype=np.uint8)
+    # a tail byte costs `groups` gathered bytes and 16 bytes of indices
+    step = max(1, _CHUNK_BYTES // (groups + 16))
+    for h in (0, 4):
+        table[0] = 0
+        for s in range(4):
+            np.bitwise_xor(table[:1 << s], shifted[h + s], out=table[1 << s:2 << s])
+        for lo in range(0, width, step):
+            rows = (tail[lo:lo + step] >> h & 15) * np.intp(nbytes)
+            rows += np.arange(lo, lo + rows.size)
+            block ^= np.bitwise_xor.reduce(windows[rows], axis=0, out=fold)
+    del shifted, table, windows  # free about 3n bytes before unpacking
+    return BitVector.from_bits(xbits[:r] ^ np.unpackbits(block, bitorder="little")[r - 1::-1])
 
 
 def hash_single_bit(x, seed, r, i):

@@ -314,6 +314,17 @@ def test_verify_compares_every_bit_by_default_at_2_pow_14(tmp_path, capsys):
     assert "all %d bits match" % r in capsys.readouterr().out
 
 
+def test_verify_compares_every_bit_by_default_at_2_pow_18(tmp_path, capsys):
+    n, r = 1 << 18, (1 << 17) - 64
+    raw_path = tmp_path / "raw.qpa1"
+    write_bits(random_bitvector(np.random.default_rng(72), n), raw_path, ROLE_RAW)
+    final_path = _distill(tmp_path, raw_path, r)
+    code = cli.main(["verify", "--input", str(raw_path), "--final", str(final_path),
+                     "--master-secret", SECRET])
+    assert code == 0
+    assert "all %d bits match" % r in capsys.readouterr().out
+
+
 def test_verify_catches_tampering(raw_file, tmp_path, capsys):
     raw_path, _ = raw_file
     final_path = _distill(tmp_path, raw_path)
@@ -441,6 +452,7 @@ def test_bench_smoke(tmp_path, capsys):
     assert "modeled row spans naive" in out
     assert "mode A:" in out and "mode B:" in out
     assert "speedup" in out
+    assert len(re.findall(r"^exact hash: \d+\.\d{4} s$", out, re.M)) == 2
     for stage in ("build", "pack", "forward", "unpack", "multiply", "inverse"):
         assert out.count("%s " % stage) >= 2  # one row per stage per mode
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
@@ -451,6 +463,20 @@ def test_bench_smoke(tmp_path, capsys):
         assert rec["mode_B_transposes"] == 2
         assert rec["mode_A_seconds"] > 0 and rec["mode_B_mbps"] > 0
         assert rec["naive_gbps"] > 0 and rec["k"] == 8
+        assert rec["hash_direct_seconds"] > 0
+
+
+def test_bench_stops_when_the_exact_hash_differs(capsys, monkeypatch):
+    # a direct hash that disagrees with mode B's key is a mismatch, and
+    # no time is printed for it
+    def flipped(x, seed, r):
+        return hash_direct(x, seed, r) ^ BitVector.from_bits(np.eye(1, r, 0, dtype=np.uint8)[0])
+
+    monkeypatch.setattr(cli, "hash_direct", flipped)
+    assert cli.main(["bench", "--n", "64", "--repetitions", "1"]) == 5
+    out = capsys.readouterr().out
+    assert "exact hash: mode B's key differs" in out
+    assert re.search(r"exact hash: \d", out) is None
 
 
 def test_bench_models_row_spans_once_per_strategy(capsys, monkeypatch):

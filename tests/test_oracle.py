@@ -90,6 +90,59 @@ def test_hash_direct_memory_bound(monkeypatch, n):
     assert peak <= oracle._CHUNK_BYTES + 6 * n
 
 
+def _matrix_hash(x, seed, r):
+    # the block materialized as an r x (n-r) matrix, T[i][j] = V[r-1-i+j]
+    xb, vb = x.to_bits().astype(np.int64), seed.bits.to_bits()
+    block = vb[np.add.outer(r - 1 - np.arange(r), np.arange(x.length - r))]
+    return xb[:r] ^ (block @ xb[r:]) & 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 100, None])
+def test_hash_direct_every_r_around_byte_boundaries(monkeypatch, chunk_bytes):
+    # every r, so every r mod 8 and both nibbles of every tail byte; at
+    # 100 bytes a chunk holds 100 // (ceil(r/8) + 16) tail bytes, so
+    # most chunks end inside the tail, and the last is short
+    if chunk_bytes is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(23)
+    x = random_bitvector(rng, 40)
+    seed = random_seed(rng, 40)
+    assert np.array_equal(_matrix_hash(x, seed, 17), brute_force_hash(x, seed, 17))
+    for n in (127, 128, 129, 255, 256, 257):
+        x = random_bitvector(rng, n)
+        seed = random_seed(rng, n)
+        for r in range(1, n):
+            got = hash_direct(x, seed, r).to_bits()
+            assert np.array_equal(got, _matrix_hash(x, seed, r)), (n, r)
+
+
+@pytest.mark.parametrize("r", [1, (1 << 19) - 64, (1 << 20) - 1])
+def test_hash_direct_all_ones_at_2_20(r):
+    # every block row is all ones and meets n-r set tail bits
+    n = 1 << 20
+    x = BitVector.from_bits(np.ones(n, dtype=np.uint8))
+    seed = ToeplitzSeed(BitVector.from_bits(np.ones(n - 1, dtype=np.uint8)))
+    got = hash_direct(x, seed, r).to_bits()
+    assert np.array_equal(got, np.full(r, 1 ^ ((n - r) & 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("r, k", [
+    ((1 << 19) - 64, (1 << 19) - 65),  # k = r-1: row i meets tail bit i
+    ((1 << 19) - 61, 12345),  # the first rows meet no tail bit
+    ((1 << 19) + 3, (1 << 20) - 2),  # only row 0 meets a tail bit
+])
+def test_hash_direct_one_hot_seed_at_2_20(r, k):
+    # with only seed bit k set, row i meets tail bit j = k+1+i-r alone,
+    # so the block is a shifted copy of the tail
+    n = 1 << 20
+    x = random_bitvector(np.random.default_rng(24), n)
+    seed = ToeplitzSeed(BitVector.from_bits(np.eye(1, n - 1, k, dtype=np.uint8)[0]))
+    xb = x.to_bits()
+    p = np.arange(r) + k + 1  # x bit r+j that row i meets
+    expected = xb[:r] ^ np.where(p < n, xb[np.minimum(p, n - 1)], 0) * (p >= r)
+    assert np.array_equal(hash_direct(x, seed, r).to_bits(), expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 48))
 def test_hash_is_linear_in_x(state, n):
